@@ -30,6 +30,7 @@ from .subspaces import (
     contains_vector,
     meet,
     projector_of,
+    resolve_tol,
     subspaces_commute,
 )
 from .valuation import (
@@ -51,15 +52,22 @@ def _bundled_text(filename: str) -> str:
 
 
 def _cli_eps(args) -> float | None:
+    """The --eps or QPROP_EPS override, checked against the tolerance contract."""
     if args.eps is not None:
-        return args.eps
-    env = os.environ.get("QPROP_EPS")
-    if env:
+        source, eps = "--eps", args.eps
+    else:
+        env = os.environ.get("QPROP_EPS")
+        if not env:
+            return None
         try:
-            return float(env)
+            source, eps = "QPROP_EPS", float(env)
         except ValueError as exc:
             raise QpropError(f"QPROP_EPS is not a number: {env!r}") from exc
-    return None
+    try:
+        resolve_tol(eps)
+    except ValueError as exc:
+        raise QpropError(f"{source}: {exc}") from exc
+    return eps
 
 
 def _load(path: str) -> tuple[str, str]:

@@ -98,6 +98,14 @@ def context_new(label: str, projectors, tol: float | None = None) -> Context:
     return ctx
 
 
+def _index_in(elements, s: Subspace, tol: float | None) -> int | None:
+    """Position of the first element equal to s at tol, or None."""
+    for i, e in enumerate(elements):
+        if e.equals(s, tol):
+            return i
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantSubspaceLattice:
     """The Boolean lattice of subset-sums of a context's ranges.
@@ -117,10 +125,7 @@ class InvariantSubspaceLattice:
         return len(self.elements)
 
     def index_of(self, s: Subspace, tol: float | None = None) -> int | None:
-        for i, e in enumerate(self.elements):
-            if e.equals(s, tol):
-                return i
-        return None
+        return _index_in(self.elements, s, tol)
 
     def contains(self, s: Subspace, tol: float | None = None) -> bool:
         return self.index_of(s, tol) is not None
@@ -243,10 +248,7 @@ class HilbertSublattice:
     blocks: dict[str, tuple[int, ...]]
 
     def index_of(self, s: Subspace, tol: float | None = None) -> int | None:
-        for i, e in enumerate(self.elements):
-            if e.equals(s, tol):
-                return i
-        return None
+        return _index_in(self.elements, s, tol)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -264,11 +266,7 @@ def paste_sublattice(
     for lat in coll.lattices:
         idxs = []
         for e in lat.elements:
-            found = None
-            for i, known in enumerate(elements):
-                if known.equals(e, tol):
-                    found = i
-                    break
+            found = _index_in(elements, e, tol)
             if found is None:
                 elements.append(e)
                 found = len(elements) - 1

@@ -26,6 +26,7 @@ serialization of a parsed scenario is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ from .subspaces import (
     contains_vector,
     projector_of,
     range_of,
+    resolve_tol,
     subspace_from_spanning,
     validate_projector,
     zero_space,
@@ -108,9 +110,7 @@ class Scenario:
         """Scenario eps wins over any CLI/environment override."""
         if self.eps is not None:
             return self.eps
-        if override is not None:
-            return float(override)
-        return DEFAULT_EPS
+        return resolve_tol(override)
 
     def collection(self, tol: float | None = None) -> LatticeCollection:
         return collection_of(self.contexts.values(), tol)
@@ -340,8 +340,13 @@ class _Builder:
             raise ScenarioSyntaxError(f"{path}: dimension must be a positive integer")
         eps = data.get("eps")
         if eps is not None:
-            if not isinstance(eps, (int, float)) or isinstance(eps, bool) or eps <= 0:
-                raise ScenarioSyntaxError(f"{path}: eps must be a positive number")
+            if (
+                not isinstance(eps, (int, float))
+                or isinstance(eps, bool)
+                or not math.isfinite(eps)
+                or eps <= 0
+            ):
+                raise ScenarioSyntaxError(f"{path}: eps must be a positive finite number")
             eps = float(eps)
         tol = eps if eps is not None else DEFAULT_EPS
         description = data.get("description")

@@ -4,10 +4,16 @@ Every subspace is held as a matrix with orthonormal columns; the zero
 subspace {0} is the zero-column matrix, the full space is a d-column
 basis. All operations are pure and deterministic: fixed algorithms, no
 randomized pivoting, so repeated runs produce identical bases.
+
+The kernel works on whole bases rather than single vectors: spans use
+block classical Gram-Schmidt with one reorthogonalization pass (CGS2),
+direct sums take one QR of the concatenated summand bases, and equality
+is a basis residual, so no operation builds a d x d projector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +30,11 @@ DEFAULT_EPS = 1e-9
 
 
 def resolve_tol(tol: float | None) -> float:
-    """Map None or 0 to the default tolerance; reject negatives."""
+    """Map None or 0 to the default tolerance; reject NaN, infinities and negatives."""
     if tol is None or tol == 0:
         return DEFAULT_EPS
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return float(tol)
@@ -93,13 +101,18 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def equals(self, other: "Subspace", tol: float | None = None) -> bool:
-        """Subspace equality as projector distance ‖P_a − P_b‖_F ≤ tol."""
+        """Subspace equality as projector distance ‖P_a − P_b‖_F ≤ tol.
+
+        For bases A, B of equal rank, ‖P_a − P_b‖_F = √2·‖B − A(AᴴB)‖_F
+        exactly, so the distance costs O(d·r²) and no projector is formed.
+        """
         if self.ambient_dim != other.ambient_dim:
             return False
         if self.dim != other.dim:
             return False
-        diff = self.projector_matrix() - other.projector_matrix()
-        return float(np.linalg.norm(diff)) <= resolve_tol(tol)
+        a, b = self.basis, other.basis
+        residual = b - a @ (a.conj().T @ b)
+        return math.sqrt(2.0 * np.vdot(residual, residual).real) <= resolve_tol(tol)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
@@ -219,9 +232,10 @@ def subspace_from_spanning(
 ) -> Subspace:
     """Span of a list of vectors, canonicalized to an orthonormal basis.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; a vector is
-    discarded when its residual after orthogonalization is ≤ tol relative
-    to its own norm, so the rank is deterministic for a fixed input order.
+    Classical Gram-Schmidt with one reorthogonalization pass (CGS2): each
+    vector is projected against all accepted columns at once, twice, and
+    is discarded when its residual is ≤ tol relative to its own norm, so
+    the rank is deterministic for a fixed input order.
     ``ambient_dim`` is required when ``vectors`` is empty.
     """
     tol = resolve_tol(tol)
@@ -240,19 +254,25 @@ def subspace_from_spanning(
     else:
         raise ValueError("ambient_dim is required for an empty spanning set")
 
-    accepted: list[np.ndarray] = []
+    # Accepted columns are kept as rows, plain and conjugated, so both
+    # halves of each projection are one contiguous matrix-vector product.
+    rows = np.empty((len(vs), d), dtype=complex)
+    rows_h = np.empty_like(rows)
+    k = 0
     for v in vs:
         scale = float(np.linalg.norm(v))
-        u = v.copy()
-        for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for q in accepted:
-                u = u - (q.conj() @ u) * q
+        u = v
+        if k:
+            for _ in range(2):  # second pass restores orthogonality lost to cancellation
+                u = u - (rows_h[:k] @ u) @ rows[:k]
         residual = float(np.linalg.norm(u))
         if residual > tol * scale and residual > 0.0:
-            accepted.append(u / residual)
-    if not accepted:
+            rows[k] = u / residual
+            rows_h[k] = rows[k].conj()
+            k += 1
+    if k == 0:
         return zero_space(d)
-    return Subspace(d, np.column_stack(accepted))
+    return Subspace(d, rows[:k].T)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +341,11 @@ def subspace_sum(
     """Internal direct sum of pairwise-orthogonal subspaces.
 
     Raises NotOrthogonal when any pair of parts fails orthogonality at
-    ``tol``. The empty sum is {0} and needs ``ambient_dim``.
+    ``tol``. The basis is the Q factor of one QR of the concatenated part
+    bases. The sum also raises NotOrthogonal when it would lose dimension:
+    more columns than d, or some |R_kk| ≤ tol·‖column k‖, which is the
+    residual test :func:`subspace_from_spanning` applies to each vector.
+    The empty sum is {0} and needs ``ambient_dim``.
     """
     tol = resolve_tol(tol)
     parts = list(parts)
@@ -343,11 +367,15 @@ def subspace_sum(
                     f"summands {i} and {j} are not orthogonal "
                     f"(max overlap {float(np.max(np.abs(overlap))):.3e})"
                 )
-    cols = [s.basis[:, i] for s in parts for i in range(s.dim)]
-    out = subspace_from_spanning(cols, tol, ambient_dim=d)
-    if out.dim != sum(s.dim for s in parts):
+    stacked = np.hstack([s.basis for s in parts])
+    if stacked.shape[1] == 0:
+        return zero_space(d)
+    if stacked.shape[1] > d:
         raise NotOrthogonal("summands overlap: direct-sum dimension lost")
-    return out
+    q, r = np.linalg.qr(stacked)
+    if np.any(np.abs(np.diagonal(r)) <= tol * np.linalg.norm(stacked, axis=0)):
+        raise NotOrthogonal("summands overlap: direct-sum dimension lost")
+    return Subspace(d, q)
 
 
 def contains_vector(s: Subspace, v, tol: float | None = None) -> bool:

@@ -210,6 +210,42 @@ class TestEpsResolution:
         monkeypatch.setenv("QPROP_EPS", "tiny")
         assert main(["eval", _fixture_path("intro_qubit.json")]) == 1
 
+    @staticmethod
+    def _run_with_eps(source, value, monkeypatch, command=("demo", "intro")):
+        if source == "flag":
+            return main([*command, f"--eps={value}"])
+        monkeypatch.setenv("QPROP_EPS", value)
+        return main(list(command))
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_is_validation_error(self, source, value, capsys, monkeypatch):
+        assert self._run_with_eps(source, value, monkeypatch) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "--eps" if source == "flag" else "QPROP_EPS"
+        assert f"{name}: tolerance must be finite, got {value}" in captured.err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", [("demo", "intro"), ("eval",)])
+    def test_zero_eps_reports_the_default_it_computes_with(
+        self, source, command, capsys, monkeypatch
+    ):
+        if command == ("eval",):
+            command = ("eval", _fixture_path("intro_qubit.json"))
+        assert self._run_with_eps(source, "0", monkeypatch, command) == 0
+        out = capsys.readouterr().out
+        assert "eps 1e-09" in out
+        assert "eps 0.0" not in out
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_scenario_eps_is_rejected(self, value, tmp_path, capsys):
+        text = Path(_fixture_path("intro_qubit.json")).read_text()
+        f = tmp_path / "eps.json"
+        f.write_text(text.replace("{", f'{{"eps": {value}, ', 1))
+        assert main(["eval", str(f)]) == 1
+        assert "eps must be a positive finite number" in capsys.readouterr().err
+
 
 class TestOutputDeterminism:
     def test_eval_byte_identical(self):
