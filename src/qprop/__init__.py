@@ -66,6 +66,7 @@ from .lattices import (
     individual_subspaces,
     intertwined,
     lattice_of,
+    observable_commutator,
     paste_sublattice,
 )
 from .scenario import (
@@ -90,7 +91,6 @@ from .subspaces import (
     join,
     meet,
     negate,
-    observable_commutator,
     projector_of,
     qubit_projector,
     range_of,

@@ -26,6 +26,7 @@ from .lattices import (
 )
 from .scenario import Scenario, check_scenario, parse_scenario
 from .subspaces import (
+    Subspace,
     commutator,
     contains_vector,
     meet,
@@ -76,8 +77,8 @@ def _load(path: str) -> tuple[str, str]:
     return p.stem, p.read_text("utf-8")
 
 
-def _fmt_eps(eps: float) -> str:
-    return repr(eps)
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
 def _rows_json(rows) -> list[dict]:
@@ -92,29 +93,41 @@ def _rows_json(rows) -> list[dict]:
     ]
 
 
+def _name_of(sc: Scenario, s: Subspace, eps: float) -> str | None:
+    """Name of the first scenario proposition equal to s, or None."""
+    for name, prop in sc.propositions.items():
+        if prop.subspace.equals(s, eps):
+            return name
+    return None
+
+
+def _evaluated(text: str, eps_override: float | None):
+    """Parse a scenario and value its evaluation block: (sc, eps, inp, rows)."""
+    sc = parse_scenario(text)
+    eps = sc.effective_eps(eps_override)
+    inp = sc.valuation_input(eps)  # rejects scenarios without an evaluation block
+    props = [sc.propositions[n] for n in sc.evaluation.propositions]
+    return sc, eps, inp, truth_table(inp, props, eps)
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
 
 def run_eval(name: str, text: str, eps_override: float | None, as_json: bool) -> str:
-    sc = parse_scenario(text)
-    eps = sc.effective_eps(eps_override)
-    inp = sc.valuation_input(eps)  # rejects scenarios without an evaluation block
-    props = [sc.propositions[n] for n in sc.evaluation.propositions]
-    rows = truth_table(inp, props, eps)
+    sc, eps, _, rows = _evaluated(text, eps_override)
     if as_json:
-        report = {
+        return _json({
             "report": "eval",
             "scenario": name,
             "dimension": sc.dimension,
             "eps": eps,
             "state": sc.evaluation.state,
             "rows": _rows_json(rows),
-        }
-        return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        })
     lines = [
-        f"scenario: {name} (dimension {sc.dimension}, eps {_fmt_eps(eps)})",
+        f"scenario: {name} (dimension {sc.dimension}, eps {eps!r})",
         f"state: {sc.evaluation.state}",
     ]
     lines += [f"{name_}: {value.rendered}" for name_, value in rows]
@@ -126,16 +139,11 @@ def run_eval(name: str, text: str, eps_override: float | None, as_json: bool) ->
 # ---------------------------------------------------------------------------
 
 
-def _demo_intro(eps_override: float | None, as_json: bool) -> str:
-    name = "intro_qubit"
-    sc = parse_scenario(_bundled_text(DEMO_SCENARIOS["intro"]))
-    eps = sc.effective_eps(eps_override)
-    inp = sc.valuation_input(eps)
-    props = [sc.propositions[n] for n in sc.evaluation.propositions]
-    rows = truth_table(inp, props, eps)
+def _demo_intro(name: str, text: str, eps_override: float | None, as_json: bool) -> str:
+    sc, eps, inp, rows = _evaluated(text, eps_override)
     disj = evaluate_disjunction_with_negation(inp, sc.propositions["P_x+"], eps)
 
-    pasted = paste_sublattice(sc.collection(eps), eps)
+    pasted = paste_sublattice(inp.collection, eps)
     a = sc.propositions["P_z+"].subspace
     b = sc.propositions["P_x+"].subspace
     c = sc.propositions["P_x-"].subspace
@@ -144,7 +152,7 @@ def _demo_intro(eps_override: float | None, as_json: bool) -> str:
     rhs_true = contains_vector(report.rhs, inp.state, eps)
 
     if as_json:
-        out = {
+        return _json({
             "report": "demo-intro",
             "scenario": name,
             "rows": _rows_json(rows),
@@ -161,12 +169,11 @@ def _demo_intro(eps_override: float | None, as_json: bool) -> str:
                 "rhs_true": bool(rhs_true),
                 "equal": report.equal,
             },
-        }
-        return json.dumps(out, indent=2, ensure_ascii=False) + "\n"
+        })
 
     lines = [
         "== intro demo: one qubit, incompatible spin propositions ==",
-        f"scenario: {name} (dimension {sc.dimension}, eps {_fmt_eps(eps)})",
+        f"scenario: {name} (dimension {sc.dimension}, eps {eps!r})",
         f"state: {sc.evaluation.state}",
         "truth values:",
     ]
@@ -183,29 +190,25 @@ def _demo_intro(eps_override: float | None, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _demo_environment(eps_override: float | None, as_json: bool) -> str:
-    name = "env_two_qubit"
-    sc = parse_scenario(_bundled_text(DEMO_SCENARIOS["environment"]))
-    eps = sc.effective_eps(eps_override)
-    inp = sc.valuation_input(eps)
-    props = [sc.propositions[n] for n in sc.evaluation.propositions]
-    rows = truth_table(inp, props, eps)
+def _demo_environment(
+    name: str, text: str, eps_override: float | None, as_json: bool
+) -> str:
+    sc, eps, _, rows = _evaluated(text, eps_override)
     prop_q = sc.factors["S"].propositions["P_Sx+"]
     env_prop = sc.factors["E1"].propositions["E1z+"]
     report = induced_bivalence(sc, prop_q, env_prop, eps)
 
     if as_json:
-        out = {
+        return _json({
             "report": "demo-environment",
             "scenario": name,
             "rows": _rows_json(rows),
             "bivalence": report.to_json(),
-        }
-        return json.dumps(out, indent=2, ensure_ascii=False) + "\n"
+        })
 
     lines = [
         "== environment demo: qubit plus one environment qubit ==",
-        f"scenario: {name} (dimension {sc.dimension}, eps {_fmt_eps(eps)})",
+        f"scenario: {name} (dimension {sc.dimension}, eps {eps!r})",
         f"composite state: {sc.evaluation.state}",
         "composite truth values:",
     ]
@@ -223,20 +226,17 @@ def _demo_environment(eps_override: float | None, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _demo_classical_limit(eps_override: float | None, as_json: bool) -> str:
-    name = "classical_limit"
-    sc = parse_scenario(_bundled_text(DEMO_SCENARIOS["classical-limit"]))
+def _demo_classical_limit(
+    name: str, text: str, eps_override: float | None, as_json: bool
+) -> str:
+    sc = parse_scenario(text)
     eps = sc.effective_eps(eps_override)
     inp = sc.valuation_input(eps)
-    pasted = paste_sublattice(sc.collection(eps), eps)
+    pasted = paste_sublattice(inp.collection, eps)
 
     labels = []
     for e in pasted.elements:
-        label = None
-        for pname, prop in sc.propositions.items():
-            if prop.subspace.equals(e, eps):
-                label = pname
-                break
+        label = _name_of(sc, e, eps)
         if label is None:
             label = "{0}" if e.is_zero else ("H" if e.is_full else f"dim-{e.dim}")
         labels.append(label)
@@ -261,7 +261,7 @@ def _demo_classical_limit(eps_override: float | None, as_json: bool) -> str:
             comm = commutator(
                 projector_of(pasted.elements[i]), projector_of(pasted.elements[j])
             )
-            operator_side = float(abs(comm).max()) <= 1e-8
+            operator_side = float(abs(comm).max()) <= eps
             if lattice_side == operator_side:
                 agree += 1
             row += "1" if lattice_side else "."
@@ -279,7 +279,7 @@ def _demo_classical_limit(eps_override: float | None, as_json: bool) -> str:
         matrix_rows.append(row)
 
     if as_json:
-        out = {
+        return _json({
             "report": "demo-classical-limit",
             "scenario": name,
             "elements": labels,
@@ -289,12 +289,11 @@ def _demo_classical_limit(eps_override: float | None, as_json: bool) -> str:
             "total_pairs": n * n,
             "within_block_all_commute": within_block_ok,
             "cross_block_nontrivial_all_fail": cross_block_fail,
-        }
-        return json.dumps(out, indent=2, ensure_ascii=False) + "\n"
+        })
 
     lines = [
         "== classical-limit demo: pasted sublattice of the z, x, y blocks ==",
-        f"scenario: {name} (dimension {sc.dimension}, eps {_fmt_eps(eps)})",
+        f"scenario: {name} (dimension {sc.dimension}, eps {eps!r})",
         f"pasted sublattice: {n} elements from blocks "
         + ", ".join(sc.contexts.keys()),
         "inside the pasted structure every meet exists; values in the state:",
@@ -311,14 +310,20 @@ def _demo_classical_limit(eps_override: float | None, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DEMOS = {
+    "intro": _demo_intro,
+    "environment": _demo_environment,
+    "classical-limit": _demo_classical_limit,
+}
+
+
 def run_demo(name: str, eps_override: float | None, as_json: bool) -> str:
-    if name == "intro":
-        return _demo_intro(eps_override, as_json)
-    if name == "environment":
-        return _demo_environment(eps_override, as_json)
-    if name == "classical-limit":
-        return _demo_classical_limit(eps_override, as_json)
-    raise QpropError(f"unknown demo {name!r}")
+    if name not in _DEMOS:
+        raise QpropError(f"unknown demo {name!r}")
+    filename = DEMO_SCENARIOS[name]
+    return _DEMOS[name](
+        filename.removesuffix(".json"), _bundled_text(filename), eps_override, as_json
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +331,22 @@ def run_demo(name: str, eps_override: float | None, as_json: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_graph(sc: Scenario, label: str, eps: float, include_trivials: bool):
-    """Annotated Hasse graph of one context's lattice."""
-    lat = lattice_of(sc.contexts[label], eps)
-    elements = [
-        e
-        for e in lat.elements
+def _annotated_graph(sc: Scenario, inp, elements, blocks, eps: float,
+                     include_trivials: bool):
+    """Annotated Hasse graph of lattice elements, each with its block labels."""
+    kept = [
+        i for i, e in enumerate(elements)
         if include_trivials or not (e.is_zero or e.is_full)
     ]
-    labels = []
-    for i, e in enumerate(elements):
-        name = None
-        for pname, prop in sc.propositions.items():
-            if prop.subspace.equals(e, eps):
-                name = pname
-                break
-        labels.append(name)
-    graph = build_graph(elements, labels, tol=eps)
-    inp = sc.valuation_input(eps)
-    props = [Proposition(v.label, elements[i]) for i, v in enumerate(graph.vertices)]
-    rows = truth_table(inp, props, eps)
-    return annotate(graph, rows)
+    elements = [elements[i] for i in kept]
+    graph = build_graph(
+        elements,
+        [_name_of(sc, e, eps) for e in elements],
+        {k: blocks[i] for k, i in enumerate(kept)},
+        tol=eps,
+    )
+    props = [Proposition(v.label, e) for v, e in zip(graph.vertices, elements)]
+    return annotate(graph, truth_table(inp, props, eps))
 
 
 def run_diagram(
@@ -368,42 +368,21 @@ def run_diagram(
     if cluster_blocks:
         selected = collection_of([sc.contexts[label] for label in context_labels], eps)
         pasted = paste_sublattice(selected, eps)
-        elements = [
-            e
-            for e in pasted.elements
-            if include_trivials or not (e.is_zero or e.is_full)
-        ]
-        index_map = [pasted.index_of(e, eps) for e in elements]
-        labels = []
-        for e in elements:
-            pname = None
-            for candidate, prop in sc.propositions.items():
-                if prop.subspace.equals(e, eps):
-                    pname = candidate
-                    break
-            labels.append(pname)
-        blocks = {
-            i: tuple(sorted(pasted.blocks_of(index_map[i])))
-            for i in range(len(elements))
-        }
-        graph = build_graph(elements, labels, blocks, tol=eps)
-        inp = sc.valuation_input(eps)
-        props = [Proposition(v.label, elements[i]) for i, v in enumerate(graph.vertices)]
-        graph = annotate(graph, truth_table(inp, props, eps))
-        return emit_dot(
-            graph,
-            DiagramOptions(cluster_blocks=True, include_trivials=include_trivials,
-                           graph_name=name.replace("-", "_")),
-        )
-
-    graphs = [
-        _lattice_graph(sc, label, eps, include_trivials) for label in context_labels
-    ]
-    merged = merge_graphs(graphs)
+        parts = [(
+            pasted.elements,
+            [tuple(sorted(pasted.blocks_of(i))) for i in range(len(pasted))],
+        )]
+    else:
+        lattices = [lattice_of(sc.contexts[label], eps) for label in context_labels]
+        parts = [(lat.elements, [(lat.context_label,)] * len(lat)) for lat in lattices]
+    inp = sc.valuation_input(eps)
+    graph = merge_graphs([
+        _annotated_graph(sc, inp, elements, blocks, eps, include_trivials)
+        for elements, blocks in parts
+    ])
     return emit_dot(
-        merged,
-        DiagramOptions(include_trivials=include_trivials,
-                       graph_name=name.replace("-", "_")),
+        graph,
+        DiagramOptions(cluster_blocks=cluster_blocks, graph_name=name.replace("-", "_")),
     )
 
 
@@ -425,7 +404,7 @@ def run_check(name: str, text: str, as_json: bool) -> tuple[int, str]:
                 for path, good, reason in rows
             ],
         }
-        return (0 if ok else 1), json.dumps(out, indent=2, ensure_ascii=False) + "\n"
+        return (0 if ok else 1), _json(out)
     lines = [f"scenario: {name}"]
     for path, good, reason in rows:
         lines.append(f"{path}: {'ok' if good else 'FAIL ' + reason}")

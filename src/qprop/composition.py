@@ -145,14 +145,6 @@ class BivalenceReport:
         }
 
 
-def _vec_json(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
-def _span_spec(s: Subspace) -> dict:
-    return {"span": [_vec_json(s.basis[:, i]) for i in range(s.dim)]}
-
-
 def build_environment_scenario(
     n_env: int,
     splice_index: int,
@@ -171,7 +163,10 @@ def build_environment_scenario(
     slots. The evaluation state is the first range of the first context
     tensored with the matching preferred environment state.
     """
-    from .scenario import scenario_from_data
+    from .scenario import _norm_matrix, _norm_vector, scenario_from_data
+
+    def span_spec(s: Subspace) -> dict:
+        return {"span": _norm_matrix(s.basis.T)}
 
     contexts = list(system_contexts)
     if n_env < 1:
@@ -207,15 +202,15 @@ def build_environment_scenario(
     sys_props = {}
     for names, rs in zip(prop_names, ranges):
         for name, r in zip(names, rs):
-            sys_props[name] = _span_spec(r)
+            sys_props[name] = span_spec(r)
     sys_data = {
         "schema": 1,
         "dimension": 2,
-        "states": {"psi": _vec_json(state_vec)},
-        "homes": {"psi": _span_spec(home_range)},
+        "states": {"psi": _norm_vector(state_vec)},
+        "homes": {"psi": span_spec(home_range)},
         "contexts": {
             c.label: [
-                {"matrix": [_vec_json(row) for row in p.matrix]}
+                {"matrix": _norm_matrix(p.matrix)}
                 for p in c.projectors
             ]
             for c in contexts
@@ -238,12 +233,12 @@ def build_environment_scenario(
             "schema": 1,
             "dimension": 2,
             "states": {
-                "plus": _vec_json(env_plus.basis[:, 0]),
-                "minus": _vec_json(env_minus.basis[:, 0]),
+                "plus": _norm_vector(env_plus.basis[:, 0]),
+                "minus": _norm_vector(env_minus.basis[:, 0]),
             },
             "propositions": {
-                f"E{k}{axis}+": _span_spec(env_plus),
-                f"E{k}{axis}-": _span_spec(env_minus),
+                f"E{k}{axis}+": span_spec(env_plus),
+                f"E{k}{axis}-": span_spec(env_minus),
             },
         }
 

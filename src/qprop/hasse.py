@@ -51,7 +51,6 @@ class HasseGraph:
 @dataclass(frozen=True)
 class DiagramOptions:
     cluster_blocks: bool = False
-    include_trivials: bool = True
     label_style: str = "name"  # "name" | "dim"
     graph_name: str = "hasse"
 

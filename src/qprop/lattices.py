@@ -4,7 +4,8 @@ A context is a complete family of mutually annihilating nontrivial
 projectors; its lattice is the 2^n subset-sums of the projector ranges.
 Collections of such lattices, and their pasting into a single sublattice
 sharing the trivial elements, are the structures the valuation semantics
-runs on.
+runs on. The spectral families of :func:`observable_commutator` are
+contexts too, validated by the same :func:`context_new`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Incomplete,
+    InvalidSpectralDecomposition,
     NotAnElement,
     NotOrthogonal,
+    QpropError,
     TooLarge,
     TrivialMember,
     UnknownLabel,
@@ -25,6 +28,7 @@ from .errors import (
 from .subspaces import (
     Projector,
     Subspace,
+    commutator,
     meet,
     join,
     range_of,
@@ -96,6 +100,30 @@ def context_new(label: str, projectors, tol: float | None = None) -> Context:
     if len(projs) < 2:
         raise Incomplete(f"context {label!r}: needs at least two members")
     return ctx
+
+
+def observable_commutator(p_spec, q_spec, tol: float | None = None) -> np.ndarray:
+    """Commutator of two observables given by spectral decompositions.
+
+    Each spec is a list of (eigenvalue, Projector) pairs whose projectors
+    form a context. Returns sum_n sum_m p_n q_m (P_n Q_m − Q_m P_n), which
+    equals the commutator of the assembled operators.
+    """
+    tol = resolve_tol(tol)
+    families = []
+    for which, spec in (("p_spec", p_spec), ("q_spec", q_spec)):
+        try:
+            families.append(context_new(which, [p for _, p in spec], tol))
+        except (QpropError, ValueError) as exc:
+            raise InvalidSpectralDecomposition(f"{which}: {exc}") from exc
+    d = families[0].ambient_dim
+    if families[1].ambient_dim != d:
+        raise DimensionMismatch("spectral families act on different spaces")
+    out = np.zeros((d, d), dtype=complex)
+    for pn, p in p_spec:
+        for qm, q in q_spec:
+            out += pn * qm * commutator(p, q)
+    return out
 
 
 def _index_in(elements, s: Subspace, tol: float | None) -> int | None:

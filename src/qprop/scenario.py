@@ -303,6 +303,13 @@ def _build_state(spec, factors: dict, tol: float, path: str) -> tuple[StateVecto
 # ---------------------------------------------------------------------------
 
 
+def _check_dim(what: str, n: int, dim: int, path: str) -> None:
+    if n != dim:
+        raise ValidationFailed(
+            path, ValueError(f"{what} has dimension {n}, expected {dim}")
+        )
+
+
 class _Builder:
     """Walks raw scenario data; strict mode raises, check mode records rows."""
 
@@ -386,13 +393,7 @@ class _Builder:
             spath = f"{path}.states.{name}"
             try:
                 state, nspec = _build_state(spec, sc.factors, tol, spath)
-                if state.ambient_dim != dim:
-                    raise ValidationFailed(
-                        spath,
-                        ValueError(
-                            f"state has dimension {state.ambient_dim}, expected {dim}"
-                        ),
-                    )
+                _check_dim("state", state.ambient_dim, dim, spath)
                 sc.states[name] = state
                 norm["states"][name] = nspec
                 self._ok(spath)
@@ -410,13 +411,7 @@ class _Builder:
                         f"{spath}: home declared for unknown state {name!r}"
                     )
                 home, nspec = _build_subspace(spec, sc.factors, tol, spath)
-                if home.ambient_dim != dim:
-                    raise ValidationFailed(
-                        spath,
-                        ValueError(
-                            f"home has dimension {home.ambient_dim}, expected {dim}"
-                        ),
-                    )
+                _check_dim("home", home.ambient_dim, dim, spath)
                 if not contains_vector(home, sc.states[name], tol):
                     raise ValidationFailed(
                         spath, ValueError("state does not lie in its declared home")
@@ -436,13 +431,7 @@ class _Builder:
                 projs, nspecs = [], []
                 for i, spec in enumerate(specs):
                     proj, nspec = _build_projector(spec, sc.factors, tol, f"{cpath}[{i}]")
-                    if proj.ambient_dim != dim:
-                        raise ValidationFailed(
-                            f"{cpath}[{i}]",
-                            ValueError(
-                                f"projector has dimension {proj.ambient_dim}, expected {dim}"
-                            ),
-                        )
+                    _check_dim("projector", proj.ambient_dim, dim, f"{cpath}[{i}]")
                     projs.append(proj)
                     nspecs.append(nspec)
                 ctx = context_new(label, projs, tol)
@@ -461,13 +450,7 @@ class _Builder:
             ppath = f"{path}.propositions.{name}"
             try:
                 sub, nspec = _build_subspace(spec, sc.factors, tol, ppath)
-                if sub.ambient_dim != dim:
-                    raise ValidationFailed(
-                        ppath,
-                        ValueError(
-                            f"subspace has dimension {sub.ambient_dim}, expected {dim}"
-                        ),
-                    )
+                _check_dim("subspace", sub.ambient_dim, dim, ppath)
                 sc.propositions[name] = Proposition(name, sub)
                 norm["propositions"][name] = nspec
                 self._ok(ppath)

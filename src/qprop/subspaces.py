@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidSpectralDecomposition,
     NotAProjector,
     NotOrthogonal,
 )
@@ -438,51 +437,6 @@ def commutator(p, q) -> np.ndarray:
     if pm.shape != qm.shape:
         raise DimensionMismatch(f"operand shapes differ: {pm.shape} vs {qm.shape}")
     return pm @ qm - qm @ pm
-
-
-def _check_spectral_family(spec, which: str, tol: float) -> list[Projector]:
-    projs = [p for _, p in spec]
-    if not projs:
-        raise InvalidSpectralDecomposition(f"{which}: empty spectral family")
-    d = projs[0].ambient_dim
-    for p in projs:
-        if p.ambient_dim != d:
-            raise InvalidSpectralDecomposition(f"{which}: mixed dimensions")
-        if not 0 < p.rank < d:
-            raise InvalidSpectralDecomposition(
-                f"{which}: trivial projector of rank {p.rank} in the family"
-            )
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            prod = projs[i].matrix @ projs[j].matrix
-            if float(np.max(np.abs(prod))) > tol:
-                raise InvalidSpectralDecomposition(
-                    f"{which}: projectors {i} and {j} do not annihilate"
-                )
-    total = sum(p.matrix for p in projs)
-    if float(np.max(np.abs(total - np.eye(d)))) > tol:
-        raise InvalidSpectralDecomposition(f"{which}: family does not sum to identity")
-    return projs
-
-
-def observable_commutator(p_spec, q_spec, tol: float | None = None) -> np.ndarray:
-    """Commutator of two observables given by spectral decompositions.
-
-    Each spec is a list of (eigenvalue, Projector) pairs whose projectors
-    form a context. Returns sum_n sum_m p_n q_m (P_n Q_m − Q_m P_n), which
-    equals the commutator of the assembled operators.
-    """
-    tol = resolve_tol(tol)
-    ps = _check_spectral_family(p_spec, "p_spec", tol)
-    qs = _check_spectral_family(q_spec, "q_spec", tol)
-    if ps[0].ambient_dim != qs[0].ambient_dim:
-        raise DimensionMismatch("spectral families act on different spaces")
-    d = ps[0].ambient_dim
-    out = np.zeros((d, d), dtype=complex)
-    for pn, p in p_spec:
-        for qm, q in q_spec:
-            out += pn * qm * commutator(p, q)
-    return out
 
 
 def _check_same_dim(a: Subspace, b: Subspace) -> None:

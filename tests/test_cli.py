@@ -17,6 +17,11 @@ SCHEMA = json.loads(
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+DEMOS = ["intro", "environment", "classical-limit"]
+BUNDLED = ["intro_qubit", "env_two_qubit", "classical_limit"]
+
+
 def _fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -105,6 +110,12 @@ class TestDemos:
         assert run_demo(name, None, False) == run_demo(name, None, False)
         assert run_demo(name, None, True) == run_demo(name, None, True)
 
+    def test_classical_limit_commutator_honours_eps(self, capsys):
+        assert main(["demo", "classical-limit", "--json", "--eps", "0.6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pairs_agreeing_with_commutator"] == 40
+        assert report["total_pairs"] == 64
+
 
 class TestDiagram:
     def test_intro_two_lattices(self, capsys):
@@ -163,6 +174,25 @@ class TestDiagram:
         name, text = "intro_qubit", Path(_fixture_path("intro_qubit.json")).read_text()
         golden = Path(__file__).parent / "golden" / "intro_qubit.dot"
         assert run_diagram(name, text, None, True, False) == golden.read_text("utf-8")
+
+
+class TestGoldenOutput:
+    """Demo and diagram output, byte for byte, against the committed golden files."""
+
+    CASES = [
+        *[(["demo", d], f"demo_{d}.txt") for d in DEMOS],
+        *[(["demo", d, "--json"], f"demo_{d}.json") for d in DEMOS],
+        *[(["diagram", _fixture_path(f"{s}.json")], f"{s}.dot") for s in BUNDLED],
+        *[
+            (["diagram", _fixture_path(f"{s}.json"), "--cluster-blocks"], f"{s}.cluster.dot")
+            for s in BUNDLED
+        ],
+    ]
+
+    @pytest.mark.parametrize("argv, golden", CASES, ids=[g for _, g in CASES])
+    def test_output_matches_golden(self, argv, golden, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
 
 
 class TestCheck:
