@@ -17,13 +17,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidInput,
     InvalidSplice,
     MissingContext,
     MissingEnvProp,
     TooLarge,
 )
-from .lattices import Context, collection_of, context_new, find_common_lattices
+from .lattices import Context, context_new, find_common_lattices
 from .subspaces import (
     Projector,
     StateVector,
@@ -34,13 +33,7 @@ from .subspaces import (
     range_of,
     resolve_tol,
 )
-from .valuation import (
-    Proposition,
-    TruthValue,
-    ValuationInput,
-    default_home,
-    evaluate,
-)
+from .valuation import Proposition, TruthValue, evaluate
 
 #: Largest composite dimension the builders will construct.
 DEFAULT_DIM_CAP = 2**12
@@ -324,21 +317,18 @@ def induced_bivalence(scenario, prop_Q: Proposition, env_prop: Proposition,
     lifted companion environment proposition and the conjunction inside
     the composite collection. Both false makes the proposition bivalent;
     a proposition already determinate in isolation is bivalent outright.
+    The system factor and the composite each need an evaluation block.
     """
     comp = scenario.composition
     if comp is None:
         raise MissingContext("scenario declares no composite structure")
     sys_sc = scenario.factors[comp.system]
-    if sys_sc.evaluation is None:
-        raise InvalidInput("system factor declares no evaluation state")
-    sys_state = sys_sc.states[sys_sc.evaluation.state]
-    sys_home = sys_sc.homes.get(sys_sc.evaluation.state) or default_home(sys_state)
-    sys_coll = collection_of(sys_sc.contexts.values(), tol)
+    sys_inp = sys_sc.valuation_input(tol)
     if prop_Q.subspace.ambient_dim != sys_sc.dimension:
         raise DimensionMismatch(
             f"proposition {prop_Q.name!r} does not act on the system factor"
         )
-    pre = evaluate(ValuationInput(sys_state, sys_home, sys_coll), prop_Q, tol)
+    pre = evaluate(sys_inp, prop_Q, tol)
 
     splice_name = comp.order[comp.splice_index]
     splice_sc = scenario.factors[splice_name]
@@ -371,20 +361,14 @@ def induced_bivalence(scenario, prop_Q: Proposition, env_prop: Proposition,
     companion_sub = lifted(full_space(dims[0]))
     conjunction_sub = lifted(prop_Q.subspace)
 
-    if scenario.evaluation is None:
-        raise InvalidInput("scenario declares no evaluation state")
-    comp_state = scenario.states[scenario.evaluation.state]
-    comp_home = scenario.homes.get(scenario.evaluation.state) or default_home(comp_state)
-    comp_coll = collection_of(scenario.contexts.values(), tol)
-
-    witnesses = find_common_lattices(comp_coll, comp_home, conjunction_sub, tol)
+    inp = scenario.valuation_input(tol)
+    witnesses = find_common_lattices(inp.collection, inp.home, conjunction_sub, tol)
     if not witnesses:
         raise MissingContext(
             "no composite lattice holds both the evaluation home and the "
             f"conjunction of {prop_Q.name!r} with {env_prop.name!r}"
         )
 
-    inp = ValuationInput(comp_state, comp_home, comp_coll)
     companion_value = evaluate(inp, Proposition(env_prop.name, companion_sub), tol)
     conjunction_value = evaluate(
         inp, Proposition(f"{prop_Q.name} ∧ {env_prop.name}", conjunction_sub), tol

@@ -8,6 +8,7 @@ DOT bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -148,10 +149,20 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_id(name: str) -> str:
+    """name bare if DOT reads it as a plain identifier, else quoted."""
+    plain = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)
+    return name if plain and name.lower() not in _DOT_KEYWORDS else _quote(name)
+
+
 def emit_dot(graph: HasseGraph, options: DiagramOptions | None = None) -> str:
     """Render a HasseGraph as a DOT digraph, ranked bottom-to-top by dimension."""
     opts = options or DiagramOptions()
-    lines = [f"digraph {opts.graph_name} {{", "  rankdir=BT;", "  node [fontsize=10];"]
+    head = f"digraph {_dot_id(opts.graph_name)} {{"
+    lines = [head, "  rankdir=BT;", "  node [fontsize=10];"]
 
     def node_line(v: HasseVertex, indent: str) -> str:
         label = v.label if opts.label_style == "name" else f"dim {v.dim}"

@@ -116,6 +116,13 @@ class Scenario:
         return collection_of(self.contexts.values(), tol)
 
     def valuation_input(self, tol: float | None = None) -> ValuationInput:
+        """The evaluation state, its declared or default home, and the
+        lattices of every context at tol.
+
+        This is the one place a valuation input is assembled: the CLI
+        commands and induced_bivalence read their state, home and lattices
+        from it instead of rebuilding them.
+        """
         if self.evaluation is None:
             raise ScenarioSyntaxError("scenario declares no evaluation block")
         state = self.states[self.evaluation.state]

@@ -392,12 +392,18 @@ def contains_vector(s: Subspace, v, tol: float | None = None) -> bool:
     return float(np.linalg.norm(residual)) <= tol * norm
 
 
+def _columns_in(s: Subspace, cols: np.ndarray, tol: float) -> bool:
+    """contains_vector's rule, ‖c − P c‖ ≤ tol·‖c‖, for every column c at once."""
+    residual = cols - s.basis @ (s.basis.conj().T @ cols)
+    return bool(np.all(
+        np.linalg.norm(residual, axis=0) <= tol * np.linalg.norm(cols, axis=0)
+    ))
+
+
 def contains_subspace(inner: Subspace, outer: Subspace, tol: float | None = None) -> bool:
     """True iff every basis column of inner lies in outer."""
     _check_same_dim(inner, outer)
-    return all(
-        contains_vector(outer, inner.basis[:, i], tol) for i in range(inner.dim)
-    )
+    return _columns_in(outer, inner.basis, resolve_tol(tol))
 
 
 def is_invariant_under(s: Subspace, p: Projector, tol: float | None = None) -> bool:
@@ -409,13 +415,8 @@ def is_invariant_under(s: Subspace, p: Projector, tol: float | None = None) -> b
     tol = resolve_tol(tol)
     if s.ambient_dim != p.ambient_dim:
         raise DimensionMismatch("subspace and projector dimensions differ")
-    for i in range(s.dim):
-        image = p.matrix @ s.basis[:, i]
-        if float(np.linalg.norm(image)) <= tol:
-            continue
-        if not contains_vector(s, image, tol):
-            return False
-    return True
+    images = p.matrix @ s.basis
+    return _columns_in(s, images[:, np.linalg.norm(images, axis=0) > tol], tol)
 
 
 def subspaces_commute(a: Subspace, b: Subspace, tol: float | None = None) -> bool:

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from qprop import parse_scenario
 from qprop.cli import main, run_demo, run_diagram
 
 FIXTURES = resources.files("qprop").joinpath("scenarios")
@@ -169,6 +171,33 @@ class TestDiagram:
             main(["diagram", _fixture_path("intro_qubit.json"), "--out", str(out)]) == 0
         )
         assert out.read_text("utf-8").startswith("digraph")
+
+    def test_file_name_that_is_not_a_dot_identifier(self, tmp_path, capsys):
+        path = tmp_path / "2intro.v1.json"
+        path.write_text(Path(_fixture_path("intro_qubit.json")).read_text("utf-8"), "utf-8")
+        assert main(["diagram", str(path)]) == 0
+        head, body = capsys.readouterr().out.split("\n", 1)
+        assert head == 'digraph "2intro.v1" {'
+        assert body == (GOLDEN / "intro_qubit.dot").read_text("utf-8").split("\n", 1)[1]
+
+    @pytest.mark.parametrize("cluster", [False, True], ids=["default", "cluster"])
+    @pytest.mark.parametrize("scenario", BUNDLED)
+    def test_builds_each_lattice_once(self, scenario, cluster, monkeypatch):
+        import qprop.cli
+        import qprop.lattices
+
+        built = Counter()
+        real = qprop.lattices.lattice_of
+
+        def counting(ctx, tol=None):
+            built[ctx.label] += 1
+            return real(ctx, tol)
+
+        monkeypatch.setattr(qprop.lattices, "lattice_of", counting)
+        monkeypatch.setattr(qprop.cli, "lattice_of", counting)
+        text = Path(_fixture_path(f"{scenario}.json")).read_text("utf-8")
+        run_diagram(scenario, text, None, True, cluster)
+        assert built == Counter(dict.fromkeys(parse_scenario(text).contexts, 1))
 
     def test_matches_golden_file(self):
         name, text = "intro_qubit", Path(_fixture_path("intro_qubit.json")).read_text()

@@ -175,6 +175,21 @@ class TestInducedBivalence:
                 sc.factors["E1"].propositions["E1z+"],
             )
 
+    def test_composite_without_evaluation_block_rejected(self):
+        import json
+
+        from qprop import ScenarioSyntaxError, scenario_from_data
+
+        data = json.loads(_fixture("env_two_qubit.json"))
+        del data["evaluation"]
+        sc = scenario_from_data(data)
+        with pytest.raises(ScenarioSyntaxError, match="no evaluation block"):
+            induced_bivalence(
+                sc,
+                sc.factors["S"].propositions["P_Sx+"],
+                sc.factors["E1"].propositions["E1z+"],
+            )
+
     def test_non_preferred_env_prop_rejected(self):
         sc = self._scenario()
         tilted = Proposition("E1x+", range_of(qubit_projector("x", +1)))

@@ -165,6 +165,21 @@ class TestEmitDot:
         assert 'label="dim 1"' in dot
         assert 'label="P_z+"' not in dot
 
+    @pytest.mark.parametrize(
+        "name, head",
+        [
+            ("_x9", "digraph _x9 {"),
+            ("2intro.v1", 'digraph "2intro.v1" {'),
+            ("a b", 'digraph "a b" {'),
+            ("Graph", 'digraph "Graph" {'),
+            ("strict", 'digraph "strict" {'),
+        ],
+    )
+    def test_graph_name_quoted_unless_a_plain_identifier(self, name, head):
+        graph = build_graph(lattice_of(SIGMA_Z).elements)
+        dot = emit_dot(graph, DiagramOptions(graph_name=name))
+        assert dot.splitlines()[0] == head
+
     def test_label_quoting(self):
         lat = lattice_of(SIGMA_Z)
         labels = [None, 'say "up"', None, None]

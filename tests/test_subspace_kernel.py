@@ -1,8 +1,10 @@
 """The vectorized subspace kernel at the dimensions where it matters.
 
 The property tests elsewhere stay at d <= 5. These pin the span rule,
-the QR direct sum and the residual equality at d in {64, 128, 256}, and
-the span's order-dependent relative acceptance rule at its boundary.
+the QR direct sum and the residual equality at d in {64, 128, 256}, the
+span's order-dependent relative acceptance rule at its boundary, and the
+whole-basis containment and invariance tests against their per-column
+definition.
 """
 
 import numpy as np
@@ -11,8 +13,11 @@ import pytest
 from qprop import (
     DEFAULT_EPS,
     NotOrthogonal,
+    Projector,
     Subspace,
+    contains_subspace,
     contains_vector,
+    is_invariant_under,
     range_of,
     subspace_from_spanning,
     subspace_sum,
@@ -132,3 +137,61 @@ def test_sum_raises_on_more_columns_than_the_ambient_dimension():
     parts = [subspace_from_spanning([[np.cos(t), np.sin(t)]]) for t in angles]
     with pytest.raises(NotOrthogonal, match="dimension lost"):
         subspace_sum(parts, 0.6)
+
+
+def _orthonormal_columns(rng, d: int, k: int) -> np.ndarray:
+    return np.linalg.qr(_gaussian(rng, d, k))[0]
+
+
+def _contains_by_column(inner: Subspace, outer: Subspace, tol: float) -> bool:
+    return all(contains_vector(outer, inner.basis[:, i], tol) for i in range(inner.dim))
+
+
+def _invariant_by_column(s: Subspace, p: Projector, tol: float) -> bool:
+    for i in range(s.dim):
+        image = p.matrix @ s.basis[:, i]
+        if np.linalg.norm(image) > tol and not contains_vector(s, image, tol):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_EPS, 1e-6])
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+def test_contains_subspace_matches_the_per_column_rule(d, factor, inside, tol):
+    """One unit column sits factor·tol outside the outer subspace."""
+    rng = np.random.default_rng(d + 4)
+    r = d // 8
+    q = _orthonormal_columns(rng, d, r + 1)
+    outer = Subspace(d, q[:, :r])
+    sin = factor * tol
+    tilted = np.sqrt(1.0 - sin**2) * q[:, 2] + sin * q[:, r]
+    inner = Subspace(d, np.column_stack([q[:, 0], q[:, 1], tilted]))
+    assert _contains_by_column(inner, outer, tol) is inside
+    assert contains_subspace(inner, outer, tol) is inside
+    assert contains_subspace(Subspace(d, q[:, :2]), outer, tol)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_EPS, 1e-6])
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("tilt", [0.5, 2.0])
+@pytest.mark.parametrize("leak", [0.5, 2.0])
+def test_is_invariant_under_matches_the_per_column_rule(d, tilt, leak, tol):
+    """p maps one column tilt·tol out of s (relative to its image) and
+    another to an image of norm leak·tol that points out of s."""
+    rng = np.random.default_rng(d + 5)
+    k = 6
+    q = _orthonormal_columns(rng, d, k + 3)
+    s = Subspace(d, q[:, : k + 1])
+    w, w2 = q[:, k + 1], q[:, k + 2]
+    sin = tilt * tol
+    # p maps column k-1 to cos·v, whose residual from s is cos·sin: relative sin.
+    v = np.sqrt(1.0 - sin**2) * q[:, k - 1] + sin * w
+    # p maps column k to delta·u, and u lies almost wholly outside s.
+    delta = leak * tol
+    u = np.sqrt(1.0 - delta**2) * w2 + delta * q[:, k]
+    range_basis = np.column_stack([q[:, : k - 1], v, u])
+    p = Projector(d, range_basis @ range_basis.conj().T)
+    expected = tilt < 1.0 and leak < 1.0
+    assert _invariant_by_column(s, p, tol) is expected
+    assert is_invariant_under(s, p, tol) is expected
