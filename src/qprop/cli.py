@@ -93,10 +93,22 @@ def _rows_json(rows) -> list[dict]:
     ]
 
 
-def _name_of(sc: Scenario, s: Subspace, eps: float) -> str | None:
-    """Name of the first scenario proposition equal to s, or None."""
+def _names_by_dim(sc: Scenario) -> dict[int, list[tuple[str, Subspace]]]:
+    """The scenario's propositions grouped by dimension, in declaration order."""
+    groups: dict[int, list[tuple[str, Subspace]]] = {}
     for name, prop in sc.propositions.items():
-        if prop.subspace.equals(s, eps):
+        groups.setdefault(prop.subspace.dim, []).append((name, prop.subspace))
+    return groups
+
+
+def _name_of(names, s: Subspace, eps: float) -> str | None:
+    """Name of the first proposition equal to s, or None.
+
+    ``names`` comes from :func:`_names_by_dim`; only propositions of the
+    dimension of s are compared, since ``equals`` rejects the others.
+    """
+    for name, sub in names.get(s.dim, ()):
+        if sub.equals(s, eps):
             return name
     return None
 
@@ -235,9 +247,10 @@ def _demo_classical_limit(
     sc, eps, inp = _input(text, eps_override)
     pasted = paste_sublattice(inp.collection, eps)
 
+    names = _names_by_dim(sc)
     labels = []
     for e in pasted.elements:
-        label = _name_of(sc, e, eps)
+        label = _name_of(names, e, eps)
         if label is None:
             label = "{0}" if e.is_zero else ("H" if e.is_full else f"dim-{e.dim}")
         labels.append(label)
@@ -328,7 +341,7 @@ def run_demo(name: str, eps_override: float | None, as_json: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _annotated_graph(sc: Scenario, inp, elements, blocks, eps: float,
+def _annotated_graph(names, inp, elements, blocks, eps: float,
                      include_trivials: bool):
     """Annotated Hasse graph of lattice elements, each with its block labels."""
     kept = [
@@ -338,7 +351,7 @@ def _annotated_graph(sc: Scenario, inp, elements, blocks, eps: float,
     elements = [elements[i] for i in kept]
     graph = build_graph(
         elements,
-        [_name_of(sc, e, eps) for e in elements],
+        [_name_of(names, e, eps) for e in elements],
         {k: blocks[i] for k, i in enumerate(kept)},
         tol=eps,
     )
@@ -366,8 +379,9 @@ def run_diagram(
         )]
     else:
         parts = [(lat.elements, [(lat.context_label,)] * len(lat)) for lat in selected]
+    names = _names_by_dim(sc)
     graph = merge_graphs([
-        _annotated_graph(sc, inp, elements, blocks, eps, include_trivials)
+        _annotated_graph(names, inp, elements, blocks, eps, include_trivials)
         for elements, blocks in parts
     ])
     return emit_dot(

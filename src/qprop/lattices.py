@@ -1,7 +1,8 @@
 """Contexts and their Boolean invariant-subspace lattices.
 
 A context is a complete family of mutually annihilating nontrivial
-projectors; its lattice is the 2^n subset-sums of the projector ranges.
+projectors; its lattice is the 2^n subset-sums of the projector ranges,
+held as the ranges plus one bitmask per element.
 Collections of such lattices, and their pasting into a single sublattice
 sharing the trivial elements, are the structures the valuation semantics
 runs on. The spectral families of :func:`observable_commutator` are
@@ -10,7 +11,8 @@ contexts too, validated by the same :func:`context_new`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,29 +136,94 @@ def _index_in(elements, s: Subspace, tol: float | None) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _mask_order(n: int) -> dict[int, int]:
+    """Position of each of the 2^n masks in (popcount, mask) order."""
+    masks = sorted(range(2**n), key=lambda m: (m.bit_count(), m))
+    return {m: i for i, m in enumerate(masks)}
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantSubspaceLattice:
     """The Boolean lattice of subset-sums of a context's ranges.
 
-    Elements are ordered by (dimension, subset index): {0} first, the full
-    space last. Build with :func:`lattice_of`.
+    The lattice is stored as its member ranges. Element ``m``, a bitmask
+    over the members, is the :func:`subspace_sum` of the ranges whose bits
+    are set, taken at the lattice's tolerance ``tol``; it is built on first
+    use and cached. Inside the block, meet, join and complement are AND, OR
+    and NOT on masks. ``elements`` lists all 2^n elements ordered by
+    (number of members, mask): {0} first, the full space last. Build with
+    :func:`lattice_of`.
     """
 
     context_label: str
-    elements: tuple[Subspace, ...]
+    ranges: tuple[Subspace, ...]
+    tol: float
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+    _adjoint: np.ndarray = field(init=False, repr=False)
+    _owner: np.ndarray = field(init=False, repr=False)
+    _ranks: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Row block i of the stacked adjoint is R_iᴴ, so one product with a
+        # basis B gives every member's overlap R_iᴴB at once.
+        ranks = np.array([r.dim for r in self.ranges])
+        stacked = np.hstack([r.basis for r in self.ranges])
+        object.__setattr__(self, "_adjoint", np.ascontiguousarray(stacked.conj().T))
+        object.__setattr__(self, "_owner", np.repeat(np.arange(len(ranks)), ranks))
+        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def ambient_dim(self) -> int:
-        return self.elements[0].ambient_dim
+        return self.ranges[0].ambient_dim
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return 2 ** len(self.ranges)
+
+    def element(self, mask: int) -> Subspace:
+        """The sum of the ranges selected by mask, built once."""
+        e = self._built.get(mask)
+        if e is None:
+            parts = [r for i, r in enumerate(self.ranges) if mask >> i & 1]
+            e = subspace_sum(parts, self.tol, ambient_dim=self.ambient_dim)
+            self._built[mask] = e
+        return e
+
+    @cached_property
+    def elements(self) -> tuple[Subspace, ...]:
+        """Every element in (number of members, mask) order, built on first read."""
+        return tuple(map(self.element, _mask_order(len(self.ranges))))
+
+    def mask_of(self, s: Subspace, tol: float | None = None) -> int | None:
+        """Mask of the element equal to s at tol, or None.
+
+        The member weights w_i = ‖R_iᴴ B_s‖²_F pick the one candidate: for
+        orthogonal ranges and an element E_m of dimension dim s,
+        ‖P_s − P_{E_m}‖²_F = 2·Σ_{i∉m} w_i, so every member of m has
+        w_i > rank_i / 2 and every other member w_i < rank_i / 2 whenever
+        that distance is below 1. For tol < 1 the candidate is therefore
+        the only element that can equal s, and ``Subspace.equals`` against
+        it decides, as it would in a search of ``elements``. At tol ≥ 1,
+        where subspaces 45° apart already count as equal, the search may
+        find an element that this rule does not.
+        """
+        if s.ambient_dim != self.ambient_dim:
+            return None
+        overlap = self._adjoint @ s.basis
+        per_row = np.einsum("ij,ij->i", overlap, overlap.conj()).real
+        weights = np.bincount(self._owner, per_row, len(self.ranges))
+        chosen = weights > self._ranks / 2
+        if int(self._ranks[chosen].sum()) != s.dim:
+            return None  # equals would reject the dimension mismatch
+        mask = sum(1 << int(i) for i in np.flatnonzero(chosen))
+        return mask if self.element(mask).equals(s, tol) else None
 
     def index_of(self, s: Subspace, tol: float | None = None) -> int | None:
-        return _index_in(self.elements, s, tol)
+        mask = self.mask_of(s, tol)
+        return None if mask is None else _mask_order(len(self.ranges))[mask]
 
     def contains(self, s: Subspace, tol: float | None = None) -> bool:
-        return self.index_of(s, tol) is not None
+        return self.mask_of(s, tol) is not None
 
     def __repr__(self) -> str:
         return (
@@ -166,20 +233,25 @@ class InvariantSubspaceLattice:
 
 
 def lattice_of(ctx: Context, tol: float | None = None) -> InvariantSubspaceLattice:
-    """All 2^n subset-sums of the context ranges, {0} and H included."""
+    """The Boolean lattice of a context: its ranges plus the full sum.
+
+    Only the ranges and the top element are built here, so a context whose
+    ranges do not sum directly raises NotOrthogonal at once: the top sum
+    checks every pair, and a column that loses dimension inside a partial
+    sum loses it in the full one too. Every other element is built when
+    first asked for.
+    """
     n = len(ctx)
     if n > MAX_CONTEXT_SIZE:
         raise TooLarge(
             f"context {ctx.label!r} has {n} members; lattice would hold 2^{n} elements"
         )
-    d = ctx.ambient_dim
-    ranges = [range_of(p, tol) for p in ctx.projectors]
-    masks = sorted(range(2**n), key=lambda m: (bin(m).count("1"), m))
-    elements = []
-    for mask in masks:
-        parts = [ranges[i] for i in range(n) if mask >> i & 1]
-        elements.append(subspace_sum(parts, tol, ambient_dim=d))
-    return InvariantSubspaceLattice(ctx.label, tuple(elements))
+    tol = resolve_tol(tol)
+    lat = InvariantSubspaceLattice(
+        ctx.label, tuple(range_of(p, tol) for p in ctx.projectors), tol
+    )
+    lat.element(2**n - 1)
+    return lat
 
 
 @dataclass(frozen=True, eq=False)

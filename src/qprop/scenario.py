@@ -105,6 +105,7 @@ class Scenario:
     propositions: dict[str, Proposition] = field(default_factory=dict)
     evaluation: Evaluation | None = None
     data: dict = field(default_factory=dict)
+    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def effective_eps(self, override: float | None = None) -> float:
         """Scenario eps wins over any CLI/environment override."""
@@ -121,13 +122,18 @@ class Scenario:
 
         This is the one place a valuation input is assembled: the CLI
         commands and induced_bivalence read their state, home and lattices
-        from it instead of rebuilding them.
+        from it instead of rebuilding them. The input is memoized per
+        tolerance, so every caller at the same tol shares one set of
+        lattices; a parsed scenario is not to be mutated.
         """
         if self.evaluation is None:
             raise ScenarioSyntaxError("scenario declares no evaluation block")
-        state = self.states[self.evaluation.state]
-        home = self.homes.get(self.evaluation.state) or default_home(state)
-        return ValuationInput(state, home, self.collection(tol))
+        tol = resolve_tol(tol)
+        if tol not in self._inputs:
+            state = self.states[self.evaluation.state]
+            home = self.homes.get(self.evaluation.state) or default_home(state)
+            self._inputs[tol] = ValuationInput(state, home, self.collection(tol))
+        return self._inputs[tol]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,19 @@ The kernel works on whole bases rather than single vectors: spans use
 block classical Gram-Schmidt with one reorthogonalization pass (CGS2),
 direct sums take one QR of the concatenated summand bases, and equality
 is a basis residual, so no operation builds a d x d projector.
+
+Tolerance contract. One tol (see :func:`resolve_tol`) is read in two ways:
+
+- :meth:`Subspace.equals` is an absolute bound on the projector distance,
+  ‖P_a − P_b‖_F ≤ tol, whatever the dimensions.
+- :func:`contains_vector`, and :func:`_columns_in` behind
+  :func:`contains_subspace` and :func:`is_invariant_under`, bound a
+  residual relative to the vector: ‖v − P v‖ ≤ tol·‖v‖. The span's
+  keep-or-drop rule in :func:`subspace_from_spanning` and the
+  dimension-loss test of :func:`subspace_sum` are relative in the same way.
+- Block membership (``InvariantSubspaceLattice.mask_of`` in
+  ``lattices``) is :meth:`Subspace.equals` against the element of the one
+  candidate mask, so it inherits the absolute bound.
 """
 
 from __future__ import annotations

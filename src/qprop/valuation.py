@@ -3,18 +3,20 @@
 A proposition is a named subspace; a state is evaluated against it through
 the meet of the state's home subspace with the proposition's subspace, but
 only where that meet exists, i.e. where both subspaces share a lattice of
-the collection. Elsewhere the proposition has a truth-value gap. The full
-space represents the disjunction of any proposition with its negation and
-is true outright, which is what makes the semantics supervaluationist.
+the collection. There the meet is the block's own: the element whose mask
+is the AND of the home's mask and the proposition's. Elsewhere the
+proposition has a truth-value gap. The full space represents the
+disjunction of any proposition with its negation and is true outright,
+which is what makes the semantics supervaluationist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import HomeNotInContext, InvalidInput, TruthTableError
-from .lattices import Context, LatticeCollection, find_common_lattices
+from .lattices import Context, LatticeCollection
 from .subspaces import (
     StateVector,
     Subspace,
@@ -23,6 +25,7 @@ from .subspaces import (
     full_space,
     meet,
     range_of,
+    resolve_tol,
     subspace_from_spanning,
 )
 
@@ -56,11 +59,16 @@ class Proposition:
 
 @dataclass(frozen=True)
 class ValuationInput:
-    """A state, its declared home subspace, and the lattice collection."""
+    """A state, its declared home subspace, and the lattice collection.
+
+    The input's check and the home's mask in each lattice are computed
+    once per tolerance and kept with the input.
+    """
 
     state: StateVector
     home: Subspace
     collection: LatticeCollection
+    _masks_by_tol: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def default_home(state: StateVector) -> Subspace:
@@ -68,21 +76,29 @@ def default_home(state: StateVector) -> Subspace:
     return subspace_from_spanning([state.amplitudes])
 
 
-def _check_input(inp: ValuationInput, tol: float | None) -> None:
-    if not contains_vector(inp.home, inp.state, tol):
-        raise InvalidInput("state does not lie in its declared home subspace")
-    if not any(lat.contains(inp.home, tol) for lat in inp.collection.lattices):
-        raise InvalidInput("home subspace is not an element of any lattice")
+def _home_masks(inp: ValuationInput, tol: float | None) -> tuple[int | None, ...]:
+    """Check the input, then return the home's mask in each lattice (or None)."""
+    tol = resolve_tol(tol)
+    masks = inp._masks_by_tol.get(tol)
+    if masks is None:
+        if not contains_vector(inp.home, inp.state, tol):
+            raise InvalidInput("state does not lie in its declared home subspace")
+        masks = tuple(lat.mask_of(inp.home, tol) for lat in inp.collection.lattices)
+        if all(m is None for m in masks):
+            raise InvalidInput("home subspace is not an element of any lattice")
+        inp._masks_by_tol[tol] = masks
+    return masks
 
 
 def evaluate(inp: ValuationInput, prop: Proposition, tol: float | None = None) -> TruthValue:
     """Three-valued value of a proposition in the given state.
 
     The full space is true outright (tautology precedence); a proposition
-    sharing no lattice with the home has a gap; otherwise the meet with the
-    home decides membership.
+    sharing no lattice with the home has a gap; otherwise the first lattice
+    holding both decides: the state is tested against that block's element
+    for the AND of the home's and the proposition's masks.
     """
-    _check_input(inp, tol)
+    home_masks = _home_masks(inp, tol)
     if prop.subspace.ambient_dim != inp.home.ambient_dim:
         raise InvalidInput(
             f"proposition {prop.name!r} has ambient dim "
@@ -90,12 +106,15 @@ def evaluate(inp: ValuationInput, prop: Proposition, tol: float | None = None) -
         )
     if prop.subspace.is_full:
         return TruthValue.TRUE
-    if not find_common_lattices(inp.collection, inp.home, prop.subspace, tol):
-        return TruthValue.GAP
-    m = meet(inp.home, prop.subspace, tol)
-    if contains_vector(m, inp.state, tol):
-        return TruthValue.TRUE
-    return TruthValue.FALSE
+    for lat, home_mask in zip(inp.collection.lattices, home_masks):
+        if home_mask is None:
+            continue
+        prop_mask = lat.mask_of(prop.subspace, tol)
+        if prop_mask is not None:
+            if contains_vector(lat.element(home_mask & prop_mask), inp.state, tol):
+                return TruthValue.TRUE
+            return TruthValue.FALSE
+    return TruthValue.GAP
 
 
 def negation_of(prop: Proposition) -> Proposition:
@@ -124,7 +143,7 @@ def context_valuation_profile(
     Exactly one member comes out true and the rest false; no member can be
     a gap because everything happens inside one Boolean block.
     """
-    _check_input(inp, tol)
+    _home_masks(inp, tol)
     ranges = [range_of(p, tol) for p in ctx.projectors]
     if not any(r.equals(inp.home, tol) for r in ranges):
         raise HomeNotInContext(

@@ -216,6 +216,11 @@ class TestGoldenOutput:
             (["diagram", _fixture_path(f"{s}.json"), "--cluster-blocks"], f"{s}.cluster.dot")
             for s in BUNDLED
         ],
+        *[
+            (["eval", _fixture_path(f"{s}.json"), "--json", "--eps", e], f"eval_{s}.eps{e}.json")
+            for s in BUNDLED
+            for e in ("1e-6", "0.6")
+        ],
     ]
 
     @pytest.mark.parametrize("argv, golden", CASES, ids=[g for _, g in CASES])
