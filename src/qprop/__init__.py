@@ -83,8 +83,10 @@ from .subspaces import (
     Subspace,
     commutator,
     complement,
+    contained_in,
     contains_subspace,
     contains_vector,
+    equal_to,
     full_space,
     identity_projector,
     is_invariant_under,

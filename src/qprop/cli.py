@@ -15,6 +15,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .composition import induced_bivalence
 from .errors import QpropError
 from .hasse import DiagramOptions, annotate, build_graph, emit_dot, merge_graphs
@@ -29,6 +31,7 @@ from .subspaces import (
     Subspace,
     commutator,
     contains_vector,
+    equal_to,
     meet,
     projector_of,
     resolve_tol,
@@ -105,12 +108,11 @@ def _name_of(names, s: Subspace, eps: float) -> str | None:
     """Name of the first proposition equal to s, or None.
 
     ``names`` comes from :func:`_names_by_dim`; only propositions of the
-    dimension of s are compared, since ``equals`` rejects the others.
+    dimension of s are compared, all in one :func:`equal_to`.
     """
-    for name, sub in names.get(s.dim, ()):
-        if sub.equals(s, eps):
-            return name
-    return None
+    group = names.get(s.dim, ())
+    hits = np.flatnonzero(equal_to(s, [sub for _, sub in group], eps))
+    return group[hits[0]][0] if hits.size else None
 
 
 def _input(text: str, eps_override: float | None):

@@ -12,8 +12,10 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import DuplicateElements, UnknownName
-from .subspaces import contains_subspace
+import numpy as np
+
+from .errors import DimensionMismatch, DuplicateElements, UnknownName
+from .subspaces import contained_in, equal_to
 from .valuation import TruthValue
 
 
@@ -57,29 +59,33 @@ class DiagramOptions:
 
 
 def covering_relation(elements, tol: float | None = None) -> list[tuple[int, int]]:
-    """Edges (lower, upper) of the transitive reduction of containment."""
+    """Edges (lower, upper) of the transitive reduction of containment.
+
+    Raises DuplicateElements naming the first equal pair (i, j), i < j,
+    and DimensionMismatch when the elements live in different spaces.
+    Edges come in row-major (lower, upper) order.
+    """
     elements = list(elements)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if elements[i].equals(elements[j], tol):
-                raise DuplicateElements(f"elements {i} and {j} are equal")
-    below = [
-        [
-            contains_subspace(a, b, tol) and a.dim < b.dim
-            for b in elements
-        ]
-        for a in elements
-    ]
-    edges = []
-    n = len(elements)
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            if any(below[i][k] and below[k][j] for k in range(n)):
-                continue  # a strictly intermediate element exists
-            edges.append((i, j))
-    return edges
+    shape = [(e.ambient_dim, e.dim) for e in elements]
+    same_shape: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(shape):
+        same_shape.setdefault(key, []).append(i)
+    for i, e in enumerate(elements):
+        later = same_shape[shape[i]]
+        later.pop(0)  # i itself: each list holds ascending indices
+        hits = np.flatnonzero(equal_to(e, [elements[j] for j in later], tol))
+        if hits.size:
+            raise DuplicateElements(f"elements {i} and {later[hits[0]]} are equal")
+    if len({d for d, _ in shape}) > 1:
+        raise DimensionMismatch("elements live in different ambient spaces")
+    dims = np.array([r for _, r in shape], dtype=int)
+    below = np.zeros((len(elements), len(elements)), dtype=bool)
+    for j, outer in enumerate(elements):
+        lower = np.flatnonzero(dims < outer.dim)
+        below[lower, j] = contained_in([elements[i] for i in lower], outer, tol)
+    # i → j is a cover unless some k lies strictly between: below[i, k] and below[k, j].
+    covers = below & ~(below @ below)
+    return [(int(i), int(j)) for i, j in np.argwhere(covers)]
 
 
 def build_graph(

@@ -31,6 +31,7 @@ from .subspaces import (
     Projector,
     Subspace,
     commutator,
+    equal_to,
     meet,
     join,
     range_of,
@@ -130,10 +131,8 @@ def observable_commutator(p_spec, q_spec, tol: float | None = None) -> np.ndarra
 
 def _index_in(elements, s: Subspace, tol: float | None) -> int | None:
     """Position of the first element equal to s at tol, or None."""
-    for i, e in enumerate(elements):
-        if e.equals(s, tol):
-            return i
-    return None
+    hits = np.flatnonzero(equal_to(s, elements, tol))
+    return int(hits[0]) if hits.size else None
 
 
 @lru_cache(maxsize=None)
@@ -348,6 +347,8 @@ class HilbertSublattice:
     blocks: dict[str, tuple[int, ...]]
 
     def index_of(self, s: Subspace, tol: float | None = None) -> int | None:
+        if self.elements and self.elements[0].ambient_dim != s.ambient_dim:
+            return None
         return _index_in(self.elements, s, tol)
 
     def __len__(self) -> int:
@@ -360,17 +361,24 @@ class HilbertSublattice:
 def paste_sublattice(
     coll: LatticeCollection, tol: float | None = None
 ) -> HilbertSublattice:
-    """Deduplicated union of all lattice elements, block membership retained."""
+    """Deduplicated union of all lattice elements, block membership retained.
+
+    Each element is compared with the kept elements of its dimension only,
+    and maps to the first of them it equals, in pasted order.
+    """
     elements: list[Subspace] = []
+    by_dim: dict[int, list[int]] = {}  # positions in elements, ascending
     blocks: dict[str, tuple[int, ...]] = {}
     for lat in coll.lattices:
         idxs = []
         for e in lat.elements:
-            found = _index_in(elements, e, tol)
-            if found is None:
+            kept = by_dim.setdefault(e.dim, [])
+            hit = _index_in([elements[k] for k in kept], e, tol)
+            if hit is None:
+                kept.append(len(elements))
                 elements.append(e)
-                found = len(elements) - 1
-            idxs.append(found)
+                hit = len(kept) - 1
+            idxs.append(kept[hit])
         blocks[lat.context_label] = tuple(idxs)
     return HilbertSublattice(tuple(elements), blocks)
 

@@ -548,11 +548,10 @@ class _Builder:
         try:
             lat = lattice_of(ctx, tol)
             for e in lat.elements:
-                for p in ctx.projectors:
-                    if not is_invariant_under(e, p, tol):
-                        raise ValueError(
-                            f"lattice element of dim {e.dim} not invariant under a member"
-                        )
+                if not is_invariant_under(e, ctx.projectors, tol):
+                    raise ValueError(
+                        f"lattice element of dim {e.dim} not invariant under a member"
+                    )
             self.rows.append((f"{path}/lattice", True, None))
         except Exception as exc:
             self.rows.append(

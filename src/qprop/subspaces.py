@@ -22,6 +22,15 @@ Tolerance contract. One tol (see :func:`resolve_tol`) is read in two ways:
 - Block membership (``InvariantSubspaceLattice.mask_of`` in
   ``lattices``) is :meth:`Subspace.equals` against the element of the one
   candidate mask, so it inherits the absolute bound.
+- The batched predicates apply the same two rules: :func:`equal_to` is
+  :meth:`Subspace.equals` against many subspaces, and
+  :func:`contained_in` is :func:`contains_subspace` for many inner
+  subspaces, each in one matrix product. Per-pair and batched forms share
+  one core per rule (``_distances``, ``_column_passes``), so each rule is
+  written once.
+
+Valid range: tol < 1. Block membership by mask is exact only there; at
+tol ≥ 1, subspaces 45° apart already count as equal.
 """
 
 from __future__ import annotations
@@ -118,13 +127,9 @@ class Subspace:
         For bases A, B of equal rank, ‖P_a − P_b‖_F = √2·‖B − A(AᴴB)‖_F
         exactly, so the distance costs O(d·r²) and no projector is formed.
         """
-        if self.ambient_dim != other.ambient_dim:
+        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        if self.dim != other.dim:
-            return False
-        a, b = self.basis, other.basis
-        residual = b - a @ (a.conj().T @ b)
-        return math.sqrt(2.0 * np.vdot(residual, residual).real) <= resolve_tol(tol)
+        return bool(_distances(self.basis, other.basis, 1)[0] <= resolve_tol(tol))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
@@ -405,12 +410,34 @@ def contains_vector(s: Subspace, v, tol: float | None = None) -> bool:
     return float(np.linalg.norm(residual)) <= tol * norm
 
 
+def _residual_sq(basis: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """‖C_k − P C_k‖²_F for each of n equal-width column blocks C_k of cols.
+
+    P projects onto span(basis). With n = cols.shape[1] the blocks are
+    single columns. This one product is behind every equality and
+    containment test.
+    """
+    residual = np.ascontiguousarray(cols - basis @ (basis.conj().T @ cols))
+    if not residual.size:
+        return np.zeros(n)
+    parts = residual.view(float).reshape(residual.shape[0], n, -1)
+    return np.einsum("ijk,ijk->j", parts, parts)
+
+
+def _distances(basis: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """‖P_a − P_b‖_F = √2·‖B − A(AᴴB)‖_F for n bases B of A's rank side by side in cols."""
+    return np.sqrt(2.0 * _residual_sq(basis, cols, n))
+
+
+def _column_passes(basis: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+    """contains_vector's rule, ‖c − P c‖ ≤ tol·‖c‖, for every column c: one bool each."""
+    residual = np.sqrt(_residual_sq(basis, cols, cols.shape[1]))
+    return residual <= tol * np.linalg.norm(cols, axis=0)
+
+
 def _columns_in(s: Subspace, cols: np.ndarray, tol: float) -> bool:
-    """contains_vector's rule, ‖c − P c‖ ≤ tol·‖c‖, for every column c at once."""
-    residual = cols - s.basis @ (s.basis.conj().T @ cols)
-    return bool(np.all(
-        np.linalg.norm(residual, axis=0) <= tol * np.linalg.norm(cols, axis=0)
-    ))
+    """True iff every column of cols passes contains_vector's rule against s."""
+    return bool(np.all(_column_passes(s.basis, cols, tol)))
 
 
 def contains_subspace(inner: Subspace, outer: Subspace, tol: float | None = None) -> bool:
@@ -419,16 +446,56 @@ def contains_subspace(inner: Subspace, outer: Subspace, tol: float | None = None
     return _columns_in(outer, inner.basis, resolve_tol(tol))
 
 
-def is_invariant_under(s: Subspace, p: Projector, tol: float | None = None) -> bool:
-    """True iff p maps s into itself.
+def equal_to(s: Subspace, others, tol: float | None = None) -> np.ndarray:
+    """``s.equals(o, tol)`` for every o in others, as one bool array.
 
-    An image with norm ≤ tol (columns are unit vectors) counts as the zero
-    vector, which lies in every subspace.
+    Only others of the dimension of s can be equal; their bases are
+    tested together in one product. Raises DimensionMismatch when an
+    other lives in a different ambient space.
     """
     tol = resolve_tol(tol)
-    if s.ambient_dim != p.ambient_dim:
+    others = list(others)
+    for o in others:
+        _check_same_dim(s, o)
+    out = np.zeros(len(others), dtype=bool)
+    same = [k for k, o in enumerate(others) if o.dim == s.dim]
+    if same:
+        cols = np.hstack([others[k].basis for k in same])
+        out[same] = _distances(s.basis, cols, len(same)) <= tol
+    return out
+
+
+def contained_in(inners, outer: Subspace, tol: float | None = None) -> np.ndarray:
+    """``contains_subspace(i, outer, tol)`` for every i in inners, as one bool array.
+
+    All inner bases are tested together in one product; an inner is
+    contained when every one of its columns passes. Raises
+    DimensionMismatch when an inner lives in a different ambient space.
+    """
+    tol = resolve_tol(tol)
+    inners = list(inners)
+    for i in inners:
+        _check_same_dim(i, outer)
+    if not inners:
+        return np.zeros(0, dtype=bool)
+    cols = np.hstack([i.basis for i in inners])
+    owner = np.repeat(np.arange(len(inners)), [i.dim for i in inners])
+    failed = owner[~_column_passes(outer.basis, cols, tol)]
+    return np.bincount(failed, minlength=len(inners)) == 0
+
+
+def is_invariant_under(s: Subspace, p, tol: float | None = None) -> bool:
+    """True iff p, a Projector or a sequence of them, maps s into itself.
+
+    An image with norm ≤ tol (columns are unit vectors) counts as the zero
+    vector, which lies in every subspace. The images under every projector
+    are tested together.
+    """
+    tol = resolve_tol(tol)
+    ps = (p,) if isinstance(p, Projector) else tuple(p)
+    if any(q.ambient_dim != s.ambient_dim for q in ps):
         raise DimensionMismatch("subspace and projector dimensions differ")
-    images = p.matrix @ s.basis
+    images = np.hstack([q.matrix @ s.basis for q in ps])
     return _columns_in(s, images[:, np.linalg.norm(images, axis=0) > tol], tol)
 
 

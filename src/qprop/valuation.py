@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import HomeNotInContext, InvalidInput, TruthTableError
-from .lattices import Context, LatticeCollection
+from .lattices import Context, LatticeCollection, lattice_of
 from .subspaces import (
     StateVector,
     Subspace,
     complement,
     contains_vector,
     full_space,
-    meet,
-    range_of,
     resolve_tol,
     subspace_from_spanning,
 )
@@ -140,20 +138,25 @@ def context_valuation_profile(
 ) -> dict[int, TruthValue]:
     """Per-member truth values when the home is one of the context ranges.
 
-    Exactly one member comes out true and the rest false; no member can be
-    a gap because everything happens inside one Boolean block.
+    Each member is valued as :func:`evaluate` values it: the state is
+    tested against the block meet, the element for the AND of the home's
+    mask and the member's bit. That meet is {0} for every member but the
+    home's, so only the home's member can come out true, and it does when
+    the state lies in that range. No member can be a gap because everything
+    happens inside one Boolean block.
     """
     _home_masks(inp, tol)
-    ranges = [range_of(p, tol) for p in ctx.projectors]
-    if not any(r.equals(inp.home, tol) for r in ranges):
+    lat = lattice_of(ctx, tol)
+    home_mask = lat.mask_of(inp.home, tol)
+    if home_mask is None or home_mask.bit_count() != 1:
         raise HomeNotInContext(
             f"home subspace is not a range of context {ctx.label!r}"
         )
     profile: dict[int, TruthValue] = {}
-    for i, r in enumerate(ranges):
-        m = meet(inp.home, r, tol)
+    for i in range(len(ctx)):
+        meet_i = lat.element(home_mask & (1 << i))
         profile[i] = (
-            TruthValue.TRUE if contains_vector(m, inp.state, tol) else TruthValue.FALSE
+            TruthValue.TRUE if contains_vector(meet_i, inp.state, tol) else TruthValue.FALSE
         )
     return profile
 

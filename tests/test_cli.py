@@ -221,6 +221,15 @@ class TestGoldenOutput:
             for s in BUNDLED
             for e in ("1e-6", "0.6")
         ],
+        *[
+            (
+                ["diagram", _fixture_path(f"{s}.json"), "--eps", e, *flag],
+                f"{s}.eps{e}{suffix}.dot",
+            )
+            for s in BUNDLED
+            for e in ("0.3", "0.6")
+            for flag, suffix in (([], ""), (["--cluster-blocks"], ".cluster"))
+        ],
     ]
 
     @pytest.mark.parametrize("argv, golden", CASES, ids=[g for _, g in CASES])

@@ -144,6 +144,23 @@ class TestContextProfile:
             assert values.count(TruthValue.GAP) == 0
             assert sum(1 for v in values if v is TruthValue.TRUE) == 1
 
+    @pytest.mark.parametrize("tol", [0.3, 0.6])
+    def test_only_the_home_member_is_true_at_large_tol(self, tol):
+        """Members are valued by the block meet, which is {0} away from the
+        home's member; the ambient meet of the home with another member's
+        range can come out large enough at large tol to hold the state."""
+        for seed in range(60):
+            rng = np.random.default_rng([seed, int(tol * 10)])
+            d = int(rng.integers(3, 9))
+            ctx = random_context(rng, d, int(rng.integers(2, min(d, 5) + 1)))
+            k = int(rng.integers(len(ctx)))
+            home = range_of(ctx.projectors[k], tol)
+            inp = ValuationInput(state_in_subspace(rng, home), home, collection_of([ctx], tol))
+            profile = context_valuation_profile(inp, ctx, tol)
+            assert profile == {
+                i: TruthValue.TRUE if i == k else TruthValue.FALSE for i in range(len(ctx))
+            }
+
 
 class TestTruthTable:
     def test_intro_table(self):
