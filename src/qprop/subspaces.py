@@ -8,7 +8,10 @@ randomized pivoting, so repeated runs produce identical bases.
 The kernel works on whole bases rather than single vectors: spans use
 block classical Gram-Schmidt with one reorthogonalization pass (CGS2),
 direct sums take one QR of the concatenated summand bases, and equality
-is a basis residual, so no operation builds a d x d projector.
+is a basis residual, so no operation builds a d x d projector. Meet and
+join read the principal angles between two subspaces from one thin SVD
+of a basis residual, A − P_b A, whose singular values are the angles'
+sines (``_principal``).
 
 Tolerance contract. One tol (see :func:`resolve_tol`) is read in two ways:
 
@@ -19,6 +22,11 @@ Tolerance contract. One tol (see :func:`resolve_tol`) is read in two ways:
   residual relative to the vector: ‖v − P v‖ ≤ tol·‖v‖. The span's
   keep-or-drop rule in :func:`subspace_from_spanning` and the
   dimension-loss test of :func:`subspace_sum` are relative in the same way.
+- :func:`meet` and :func:`join` apply :func:`contains_vector`'s rule to
+  unit principal directions: a direction of a lies in b when its
+  principal-angle sine to b is ≤ tol. The meet keeps those directions
+  of a; the join adds to a the directions of b whose sine exceeds tol.
+  So dim(a∧b) + dim(a∨b) = dim a + dim b at every tol < 1.
 - Block membership (``InvariantSubspaceLattice.mask_of`` in
   ``lattices``) is :meth:`Subspace.equals` against the element of the one
   candidate mask, so it inherits the absolute bound.
@@ -339,17 +347,35 @@ def complement(s: Subspace) -> Subspace:
 
 
 def join(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
-    """Closed span of the union of two subspaces."""
-    _check_same_dim(a, b)
-    cols = [a.basis[:, i] for i in range(a.dim)]
-    cols += [b.basis[:, i] for i in range(b.dim)]
-    return subspace_from_spanning(cols, tol, ambient_dim=a.ambient_dim)
+    """Closed span of the union: a plus b's directions whose sine to a exceeds tol.
+
+    Those directions are left singular vectors of b's residual against a
+    (:func:`_principal`); one QR of them beside a's basis restores the
+    orthogonality that the division by small sines loses.
+    """
+    tol = resolve_tol(tol)
+    out_dirs, sines, _ = _principal(b, a)
+    outside = sines > tol
+    if not outside.any():
+        return a  # b lies in a
+    q, _ = np.linalg.qr(np.hstack([a.basis, out_dirs[:, outside]]))
+    return Subspace(a.ambient_dim, q)
 
 
 def meet(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
-    """Set-theoretic intersection, computed by ortholattice duality."""
-    _check_same_dim(a, b)
-    return complement(join(complement(a), complement(b), tol))
+    """Intersection: the principal directions of a whose sine to b is ≤ tol.
+
+    A unit direction x of a with ‖x − P_b x‖ ≤ tol passes
+    :func:`contains_vector`'s rule against b. The directions are A·V for
+    the right singular vectors V of a's residual against b, so they are
+    orthonormal as they come.
+    """
+    tol = resolve_tol(tol)
+    _, sines, v = _principal(a, b)
+    inside = sines <= tol
+    if inside.all():
+        return a  # a lies in b
+    return Subspace(a.ambient_dim, a.basis @ v[:, inside])
 
 
 def subspace_sum(
@@ -406,18 +432,39 @@ def contains_vector(s: Subspace, v, tol: float | None = None) -> bool:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         return True  # the zero vector belongs to every subspace
-    residual = vec - s.basis @ (s.basis.conj().T @ vec)
-    return float(np.linalg.norm(residual)) <= tol * norm
+    return float(np.linalg.norm(_residual(s.basis, vec))) <= tol * norm
+
+
+def _residual(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cols − P cols, where P projects onto span(basis).
+
+    This one product is behind every equality and containment test and
+    every meet and join.
+    """
+    return cols - basis @ (basis.conj().T @ cols)
+
+
+def _principal(a: Subspace, b: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD R = U·diag(sines)·Vᴴ of a's basis residual R = A − P_b A.
+
+    The singular values are the sines of the principal angles from a to b,
+    A·V holds a's matching principal directions, and U holds orthonormal
+    directions outside b. Reading the sines from the residual, not as
+    √(1 − cos²) from AᴴB, resolves angles far below 1e-8 (Björck & Golub,
+    Math. Comp. 27 (1973) 579). Returns (U, sines, V).
+    """
+    _check_same_dim(a, b)
+    u, sines, vh = np.linalg.svd(_residual(b.basis, a.basis), full_matrices=False)
+    return u, sines, vh.conj().T
 
 
 def _residual_sq(basis: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """‖C_k − P C_k‖²_F for each of n equal-width column blocks C_k of cols.
 
     P projects onto span(basis). With n = cols.shape[1] the blocks are
-    single columns. This one product is behind every equality and
-    containment test.
+    single columns.
     """
-    residual = np.ascontiguousarray(cols - basis @ (basis.conj().T @ cols))
+    residual = np.ascontiguousarray(_residual(basis, cols))
     if not residual.size:
         return np.zeros(n)
     parts = residual.view(float).reshape(residual.shape[0], n, -1)
@@ -500,15 +547,14 @@ def is_invariant_under(s: Subspace, p, tol: float | None = None) -> bool:
 
 
 def subspaces_commute(a: Subspace, b: Subspace, tol: float | None = None) -> bool:
-    """Lattice-theoretic commutativity: a ∩ (a ∩ b^perp)^perp ⊆ b.
+    """Lattice-theoretic commutativity: a = (a∧b) ∨ (a∧b^perp).
 
-    Agrees with the vanishing of the projector commutator; both members of
-    a Boolean block pass, generic subspace pairs fail.
+    The two meets are orthogonal parts of a, so their join is a exactly
+    when their dimensions add up to dim a. Agrees with the vanishing of the
+    projector commutator; both members of a Boolean block pass, generic
+    subspace pairs fail.
     """
-    _check_same_dim(a, b)
-    inner = meet(a, complement(b), tol)
-    reduced = meet(a, complement(inner), tol)
-    return contains_subspace(reduced, b, tol)
+    return meet(a, b, tol).dim + meet(a, complement(b), tol).dim == a.dim
 
 
 def commutator(p, q) -> np.ndarray:

@@ -155,10 +155,9 @@ def test_near_probe_is_found_and_far_probe_is_not():
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("d", DIMS)
 def test_block_meet_matches_ambient_rule_and_exact_intersection(d, tol, off):
-    """evaluate agrees with the exact intersection everywhere, and with the
-    ambient rule except where the ambient meet is larger than the exact
-    intersection: its join of complements drops vectors whose residual is
-    at most tol relative to their norm, which happens at tol 0.3 and 0.6."""
+    """evaluate agrees with the exact intersection everywhere, and so does
+    the ambient rule: the ambient meet has the exact intersection's
+    dimension at every tol."""
     rng, blocks, ctx = _case(d, tol, off, 2)
     lat = lattice_of(ctx, tol)
     n = len(blocks)
@@ -185,10 +184,8 @@ def test_block_meet_matches_ambient_rule_and_exact_intersection(d, tol, off):
                 oracle = _in_span(exact, state.amplitudes, tol)
                 assert got is (TruthValue.TRUE if oracle else TruthValue.FALSE)
                 ambient = meet(home, prop.subspace, tol)
-                by_ambient = contains_vector(ambient, state, tol)
-                if by_ambient != oracle:
-                    assert ambient.dim > exact.shape[1]
-                    assert tol >= 0.3
+                assert contains_vector(ambient, state, tol) == oracle
+                assert ambient.dim == exact.shape[1]
                 cases += 1
     assert cases > 0
 
@@ -208,8 +205,9 @@ def test_proposition_outside_every_block_is_a_gap(tol):
 
 
 def test_contradiction_is_false_at_large_tol():
-    """{0} is false: the block meet of any home with {0} is {0}. The ambient
-    meet at tol 0.6 keeps the one-dimensional home here and calls it true."""
+    """{0} is false: the block meet of any home with {0} is {0}, and so is
+    the ambient meet at tol 0.6, since the home's one direction has sine 1
+    to {0}."""
     dft = np.fft.fft(np.eye(8)) / np.sqrt(8)  # first column: every entry 8^-1/2
     blocks = [dft[:, :1], dft[:, 1:]]
     ctx = context_new("c", [Projector(8, b @ b.conj().T) for b in blocks], 0.6)
@@ -217,7 +215,7 @@ def test_contradiction_is_false_at_large_tol():
     home, zero = lat.element(0b01), lat.element(0)
     inp = ValuationInput(StateVector(8, blocks[0][:, 0]), home, LatticeCollection((lat,)))
     assert evaluate(inp, Proposition("zero", zero), 0.6) is TruthValue.FALSE
-    assert meet(home, zero, 0.6).dim == 1
+    assert meet(home, zero, 0.6).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,9 @@ def test_lattice_commutativity_matches_commutator(seed, d):
         a = subspace_sum([ranges[i] for i in range(n) if mask_a >> i & 1], ambient_dim=d)
         b = subspace_sum([ranges[i] for i in range(n) if mask_b >> i & 1], ambient_dim=d)
     c = commutator(projector_of(a), projector_of(b))
-    assert subspaces_commute(a, b) == (float(np.linalg.norm(c)) <= 1e-9)
+    commute = float(np.linalg.norm(c)) <= 1e-9
+    assert subspaces_commute(a, b) == commute
+    assert subspaces_commute(b, a) == commute
 
 
 @given(seeds, dims)
