@@ -93,14 +93,15 @@ from .subspaces import (
     join,
     meet,
     negate,
+    projector_at,
     projector_of,
     qubit_projector,
     range_of,
     subspace_from_spanning,
     subspace_sum,
+    subspace_sums,
     subspaces_commute,
     validate_projector,
-    zero_projector,
     zero_space,
 )
 from .valuation import (

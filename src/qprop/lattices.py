@@ -36,7 +36,7 @@ from .subspaces import (
     join,
     range_of,
     resolve_tol,
-    subspace_sum,
+    subspace_sums,
 )
 
 #: Refuse to enumerate lattices beyond 2^12 elements.
@@ -135,6 +135,11 @@ def _index_in(elements, s: Subspace, tol: float | None) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @lru_cache(maxsize=None)
 def _mask_order(n: int) -> dict[int, int]:
     """Position of each of the 2^n masks in (popcount, mask) order."""
@@ -149,10 +154,11 @@ class InvariantSubspaceLattice:
     The lattice is stored as its member ranges. Element ``m``, a bitmask
     over the members, is the :func:`subspace_sum` of the ranges whose bits
     are set, taken at the lattice's tolerance ``tol``; it is built on first
-    use and cached. Inside the block, meet, join and complement are AND, OR
-    and NOT on masks. ``elements`` lists all 2^n elements ordered by
-    (number of members, mask): {0} first, the full space last. Build with
-    :func:`lattice_of`.
+    use and cached; elements built together take one :func:`subspace_sums`
+    call per total rank. Inside the block, meet, join and complement are
+    AND, OR and NOT on masks. ``elements`` lists all 2^n elements ordered
+    by (number of members, mask): {0} first, the full space last. Build
+    with :func:`lattice_of`.
     """
 
     context_label: str
@@ -183,15 +189,29 @@ class InvariantSubspaceLattice:
         """The sum of the ranges selected by mask, built once."""
         e = self._built.get(mask)
         if e is None:
-            parts = [r for i, r in enumerate(self.ranges) if mask >> i & 1]
-            e = subspace_sum(parts, self.tol, ambient_dim=self.ambient_dim)
-            self._built[mask] = e
+            self._build([mask])
+            e = self._built[mask]
         return e
+
+    def _build(self, masks) -> None:
+        """Build the elements of masks, one batched direct sum per total rank."""
+        by_rank: dict[int, list[int]] = {}
+        for m in masks:
+            by_rank.setdefault(int(self._ranks[_bits(m)].sum()), []).append(m)
+        for group in by_rank.values():
+            parts = [[self.ranges[i] for i in _bits(m)] for m in group]
+            sums = subspace_sums(parts, self.tol, ambient_dim=self.ambient_dim)
+            self._built.update(zip(group, sums))
 
     @cached_property
     def elements(self) -> tuple[Subspace, ...]:
         """Every element in (number of members, mask) order, built on first read."""
-        return tuple(map(self.element, _mask_order(len(self.ranges))))
+        order = _mask_order(len(self.ranges))
+        try:
+            self._build([m for m in order if m not in self._built])
+        except NotOrthogonal:
+            pass  # built one by one below, the first failing element in order raises
+        return tuple(map(self.element, order))
 
     def mask_of(self, s: Subspace, tol: float | None = None) -> int | None:
         """Mask of the element equal to s at tol, or None.

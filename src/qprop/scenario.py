@@ -21,6 +21,16 @@ is shorthand for ``[x, 0]``):
 
 The parsed form is normalized (every scalar an explicit pair); parsing the
 serialization of a parsed scenario is the identity.
+
+Literals are converted whole: each vector, matrix or span list takes one
+``np.array(value, dtype=float)``, a trailing axis of 2 read as [re, im]
+pairs. That path accepts only nested lists of ints and floats, all bare
+or all pairs; anything else (a bool, string or null, a ragged or mixed
+literal, an int too large for a float) goes to the per-scalar walk,
+which alone words the errors. Both give bitwise-equal arrays.
+
+Members given as matrices, and the Kronecker products of tensor members,
+are validated once, at the scenario's eps (:func:`projector_at`).
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,11 +58,11 @@ from .subspaces import (
     full_space,
     is_invariant_under,
     contains_vector,
+    projector_at,
     projector_of,
     range_of,
     resolve_tol,
     subspace_from_spanning,
-    validate_projector,
     zero_space,
 )
 from .valuation import Proposition, ValuationInput, default_home
@@ -141,6 +152,36 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+_NUMBERS = {int, float}
+
+
+def _convert(value, depth: int) -> np.ndarray | None:
+    """A depth-level list of scalars as a complex array, in one conversion.
+
+    Returns None, leaving the literal to the per-scalar walk, unless the
+    conversion succeeds with all-bare or all-pair scalars, every level is
+    a nonempty list, and every number is an int or a float (not a bool).
+    """
+    if type(value) is not list:
+        return None
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if 0 in a.shape or not (a.ndim == depth or a.ndim == depth + 1 and a.shape[-1] == 2):
+        return None
+    lists = value
+    for _ in range(a.ndim - 1):
+        if set(map(type, lists)) != {list}:
+            return None
+        lists = list(chain.from_iterable(lists))
+    if not set(map(type, lists)) <= _NUMBERS:
+        return None
+    if a.ndim == depth:
+        return a.astype(complex)
+    return a.view(complex).reshape(a.shape[:-1])
+
+
 def _parse_scalar(x, path: str) -> complex:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         return complex(float(x), 0.0)
@@ -153,32 +194,46 @@ def _parse_scalar(x, path: str) -> complex:
     raise ScenarioSyntaxError(f"{path}: expected a number or [re, im], got {x!r}")
 
 
-def _norm_scalar(c: complex) -> list:
-    return [float(c.real), float(c.imag)]
-
-
-def _parse_vector(v, path: str) -> np.ndarray:
+def _walk_vector(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ScenarioSyntaxError(f"{path}: expected a nonempty vector")
     return np.array([_parse_scalar(x, f"{path}[{i}]") for i, x in enumerate(v)])
 
 
-def _parse_matrix(rows, path: str) -> np.ndarray:
+def _walk_matrix(rows, path: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ScenarioSyntaxError(f"{path}: expected a nonempty matrix")
-    parsed = [_parse_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
+    parsed = [_walk_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
     widths = {row.shape[0] for row in parsed}
     if len(widths) != 1:
         raise ScenarioSyntaxError(f"{path}: ragged matrix rows {sorted(widths)}")
     return np.vstack(parsed)
 
 
+def _parse_vector(v, path: str) -> np.ndarray:
+    out = _convert(v, 1)
+    return _walk_vector(v, path) if out is None else out
+
+
+def _parse_matrix(rows, path: str) -> np.ndarray:
+    out = _convert(rows, 2)
+    return _walk_matrix(rows, path) if out is None else out
+
+
+def _parse_span(vectors: list, path: str) -> np.ndarray | list[np.ndarray]:
+    """The vectors of a span as (k, d) rows, or walked one by one."""
+    out = _convert(vectors, 2)
+    if out is None:
+        return [_walk_vector(v, f"{path}[{i}]") for i, v in enumerate(vectors)]
+    return out
+
+
 def _norm_vector(v: np.ndarray) -> list:
-    return [_norm_scalar(x) for x in v]
+    return v.view(float).reshape(-1, 2).tolist()
 
 
 def _norm_matrix(m: np.ndarray) -> list:
-    return [_norm_vector(row) for row in m]
+    return m.view(float).reshape(m.shape[0], -1, 2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +271,7 @@ def _build_subspace(spec, factors: dict, tol: float, path: str) -> tuple[Subspac
     if key == "span":
         if not isinstance(value, list):
             raise ScenarioSyntaxError(f"{path}.span: expected a list of vectors")
-        vecs = [_parse_vector(v, f"{path}.span[{i}]") for i, v in enumerate(value)]
+        vecs = _parse_span(value, f"{path}.span")
         try:
             sub = subspace_from_spanning(vecs, tol)
         except QpropError as exc:
@@ -225,8 +280,7 @@ def _build_subspace(spec, factors: dict, tol: float, path: str) -> tuple[Subspac
     if key == "matrix":
         m = _parse_matrix(value, f"{path}.matrix")
         try:
-            validate_projector(m, tol)
-            sub = range_of(m, tol)
+            sub = range_of(projector_at(m, tol))
         except QpropError as exc:
             raise ValidationFailed(path, exc) from exc
         return sub, {"matrix": _norm_matrix(m)}
@@ -261,8 +315,7 @@ def _build_projector(spec, factors: dict, tol: float, path: str) -> tuple[Projec
     if key == "matrix":
         m = _parse_matrix(value, f"{path}.matrix")
         try:
-            validate_projector(m, tol)
-            proj = Projector(m.shape[0], m)
+            proj = projector_at(m, tol)
         except QpropError as exc:
             raise ValidationFailed(path, exc) from exc
         return proj, {"matrix": _norm_matrix(m)}
@@ -280,7 +333,7 @@ def _build_projector(spec, factors: dict, tol: float, path: str) -> tuple[Projec
         out = mats[0]
         for m in mats[1:]:
             out = np.kron(out, m)
-        return Projector(out.shape[0], out), {"tensor": norms}
+        return projector_at(out, tol), {"tensor": norms}
     raise ScenarioSyntaxError(f"{path}: unknown projector spec kind {key!r}")
 
 

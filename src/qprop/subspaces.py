@@ -13,6 +13,15 @@ join read the principal angles between two subspaces from one thin SVD
 of a basis residual, A − P_b A, whose singular values are the angles'
 sines (``_principal``).
 
+Direct sums are batched: :func:`subspace_sums` sums many part lists of
+one total rank with one stacked Gram product for the pairwise overlaps,
+one stacked QR and one |R_kk| test, and :func:`subspace_sum` is its
+one-group case. Each basis is bitwise the one the group gets alone.
+A :class:`Subspace` validates its basis with one reduction,
+max |BᴴB − I| ≤ DEFAULT_EPS, which NaN fails; only a basis that fails
+runs the finiteness and shape diagnostics, so each rule still raises
+its own message, in the same order.
+
 Tolerance contract. One tol (see :func:`resolve_tol`) is read in two ways:
 
 - :meth:`Subspace.equals` is an absolute bound on the projector distance,
@@ -71,7 +80,7 @@ def resolve_tol(tol: float | None) -> float:
 
 def _as_complex(a, name: str = "array") -> np.ndarray:
     out = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -102,16 +111,16 @@ class Subspace:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        b = _as_complex(self.basis, "basis")
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis must be {self.ambient_dim}xr, got shape {b.shape}"
-            )
-        if b.shape[1] > self.ambient_dim:
-            raise ValueError("more basis columns than ambient dimension")
-        gram = b.conj().T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > DEFAULT_EPS:
-            raise ValueError("basis columns are not orthonormal")
+        # One reduction, max |BᴴB − I|, accepts a valid basis; NaN fails it.
+        # Only a basis that fails runs the diagnostics, in their usual order.
+        b = np.asarray(self.basis, dtype=complex)
+        err = math.nan
+        if b.ndim == 2 and b.shape[0] == self.ambient_dim >= b.shape[1]:
+            gram = b.conj().T @ b
+            gram.ravel()[:: b.shape[1] + 1] -= 1  # BᴴB − I in place
+            err = abs(gram).max(initial=0.0)
+        if not err <= DEFAULT_EPS:
+            _basis_diagnosis(b, self.ambient_dim)
         object.__setattr__(self, "basis", _frozen(b))
 
     @property
@@ -143,13 +152,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
 
 
+def _basis_diagnosis(basis: np.ndarray, d: int) -> None:
+    """Raise the first rule a candidate basis of C^d breaks, in checking order."""
+    b = _as_complex(basis, "basis")
+    if b.ndim != 2 or b.shape[0] != d:
+        raise ValueError(f"basis must be {d}xr, got shape {b.shape}")
+    if b.shape[1] > d:
+        raise ValueError("more basis columns than ambient dimension")
+    raise ValueError("basis columns are not orthonormal")
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """A Hermitian idempotent operator on C^d.
 
     Construction validates Hermiticity and idempotence at the global
-    tolerance; use :func:`validate_projector` first to check a raw matrix
-    against a custom tolerance.
+    tolerance; :func:`projector_at` validates a raw matrix once at another
+    tolerance instead.
     """
 
     ambient_dim: int
@@ -215,6 +234,20 @@ def validate_projector(matrix, tol: float | None = None) -> np.ndarray:
     return m
 
 
+def projector_at(matrix, tol: float | None = None) -> Projector:
+    """A Projector whose one validation is :func:`validate_projector` at tol.
+
+    A scenario checks its members at its own eps; constructing them with
+    ``Projector`` would check them again at the global tolerance and
+    reject a member the scenario accepts.
+    """
+    m = validate_projector(matrix, tol)
+    p = object.__new__(Projector)
+    object.__setattr__(p, "ambient_dim", m.shape[0])
+    object.__setattr__(p, "matrix", _frozen(m))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Canonical constructions
 # ---------------------------------------------------------------------------
@@ -226,10 +259,6 @@ def zero_space(d: int) -> Subspace:
 
 def full_space(d: int) -> Subspace:
     return Subspace(d, np.eye(d, dtype=complex))
-
-
-def zero_projector(d: int) -> Projector:
-    return Projector(d, np.zeros((d, d), dtype=complex))
 
 
 def identity_projector(d: int) -> Projector:
@@ -260,37 +289,40 @@ def subspace_from_spanning(
     Classical Gram-Schmidt with one reorthogonalization pass (CGS2): each
     vector is projected against all accepted columns at once, twice, and
     is discarded when its residual is ≤ tol relative to its own norm, so
-    the rank is deterministic for a fixed input order.
+    the rank is deterministic for a fixed input order. ``vectors`` may be
+    a (k, d) array holding the vectors as rows, converted in one piece.
     ``ambient_dim`` is required when ``vectors`` is empty.
     """
     tol = resolve_tol(tol)
-    vs = [_as_complex(v, "spanning vector").reshape(-1) for v in vectors]
-    dims = {v.shape[0] for v in vs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"spanning vectors have mixed lengths {sorted(dims)}")
-    if dims:
-        d = dims.pop()
-        if ambient_dim is not None and ambient_dim != d:
-            raise DimensionMismatch(
-                f"vectors have length {d}, ambient_dim says {ambient_dim}"
-            )
-    elif ambient_dim is not None:
-        d = ambient_dim
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        vs = _as_complex(vectors, "spanning vector")
     else:
-        raise ValueError("ambient_dim is required for an empty spanning set")
+        vs = [_as_complex(v, "spanning vector").reshape(-1) for v in vectors]
+        dims = {v.shape[0] for v in vs}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"spanning vectors have mixed lengths {sorted(dims)}")
+        if not vs:
+            if ambient_dim is None:
+                raise ValueError("ambient_dim is required for an empty spanning set")
+            return zero_space(ambient_dim)
+        vs = np.array(vs)
+    d = vs.shape[1]
+    if ambient_dim is not None and ambient_dim != d:
+        raise DimensionMismatch(f"vectors have length {d}, ambient_dim says {ambient_dim}")
 
     # Accepted columns are kept as rows, plain and conjugated, so both
     # halves of each projection are one contiguous matrix-vector product.
-    rows = np.empty((len(vs), d), dtype=complex)
-    rows_h = np.empty_like(rows)
+    vs = np.ascontiguousarray(vs)
+    rows = np.empty_like(vs)
+    rows_h = np.empty_like(vs)
     k = 0
     for v in vs:
-        scale = float(np.linalg.norm(v))
+        scale = _norm(v)
         u = v
         if k:
             for _ in range(2):  # second pass restores orthogonality lost to cancellation
                 u = u - (rows_h[:k] @ u) @ rows[:k]
-        residual = float(np.linalg.norm(u))
+        residual = _norm(u)
         if residual > tol * scale and residual > 0.0:
             rows[k] = u / residual
             rows_h[k] = rows[k].conj()
@@ -298,6 +330,12 @@ def subspace_from_spanning(
     if k == 0:
         return zero_space(d)
     return Subspace(d, rows[:k].T)
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous complex vector, by its own formula, unwrapped."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +426,82 @@ def subspace_sum(
     bases. The sum also raises NotOrthogonal when it would lose dimension:
     more columns than d, or some |R_kk| ≤ tol·‖column k‖, which is the
     residual test :func:`subspace_from_spanning` applies to each vector.
-    The empty sum is {0} and needs ``ambient_dim``.
+    The empty sum is {0} and needs ``ambient_dim``. This is the one-group
+    case of :func:`subspace_sums`.
+    """
+    return subspace_sums([parts], tol, ambient_dim=ambient_dim)[0]
+
+
+def subspace_sums(
+    groups, tol: float | None = None, *, ambient_dim: int | None = None
+) -> list[Subspace]:
+    """:func:`subspace_sum` of every part list in groups, all of one total rank.
+
+    All groups are tested and summed together: one stacked Gram product
+    gives every pairwise overlap, one stacked QR every basis, and one
+    comparison every |R_kk| test. Numpy's stacked QR runs the same LAPACK
+    routine on each matrix, so each basis is the one a group summed alone
+    gets. When groups fail a test, the first of them is summed alone and
+    raises its own NotOrthogonal.
     """
     tol = resolve_tol(tol)
-    parts = list(parts)
-    if not parts:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim is required for an empty sum")
-        return zero_space(ambient_dim)
-    d = parts[0].ambient_dim
-    for s in parts:
-        if s.ambient_dim != d:
+    groups = [list(parts) for parts in groups]
+    d = ambient_dim
+    for parts in groups:
+        if not parts:
+            if ambient_dim is None:
+                raise ValueError("ambient_dim is required for an empty sum")
+            continue
+        if any(s.ambient_dim != parts[0].ambient_dim for s in parts):
             raise DimensionMismatch("summands live in different ambient spaces")
-    if ambient_dim is not None and ambient_dim != d:
-        raise DimensionMismatch("ambient_dim disagrees with the summands")
+        if ambient_dim is not None and ambient_dim != parts[0].ambient_dim:
+            raise DimensionMismatch("ambient_dim disagrees with the summands")
+        if d is not None and d != parts[0].ambient_dim:
+            raise DimensionMismatch("summands live in different ambient spaces")
+        d = parts[0].ambient_dim
+    # owners[g][c]: the part that column c of group g's stacked basis comes from
+    owners = [[i for i, s in enumerate(parts) for _ in range(s.dim)] for parts in groups]
+    if len({len(o) for o in owners}) > 1:
+        raise ValueError("groups differ in total rank")
+    r = len(owners[0]) if owners else 0
+    if r == 0:
+        return [zero_space(d) for _ in groups]
+
+    stacked = np.array([np.concatenate([s.basis for s in parts], axis=1) for parts in groups])
+    gram = stacked.conj().transpose(0, 2, 1) @ stacked
+    owner = np.array(owners)
+    cross = owner[:, :, None] != owner[:, None, :]  # entries between two parts
+    failed = (cross & (abs(gram) > tol)).any(axis=(1, 2))
+    if r > d:
+        failed[:] = True  # more columns than d: every group loses dimension
+    else:
+        q, rr = np.linalg.qr(stacked)
+        diagonal = abs(np.diagonal(rr, axis1=1, axis2=2))
+        failed |= np.any(diagonal <= tol * np.linalg.norm(stacked, axis=1), axis=1)
+    if not failed.any():
+        return [Subspace(d, basis) for basis in q]
+    if len(groups) == 1:
+        raise _sum_failure(groups[0], gram[0], tol)
+    # A failing group is summed alone, so the first of them raises its own text.
+    return [
+        subspace_sum(parts, tol, ambient_dim=d) if failed[k] else Subspace(d, q[k])
+        for k, parts in enumerate(groups)
+    ]
+
+
+def _sum_failure(parts: list[Subspace], gram: np.ndarray, tol: float) -> NotOrthogonal:
+    """The NotOrthogonal a failing direct sum raises: its first pair over tol, else lost dimension."""
+    ends = np.cumsum([s.dim for s in parts])
+    starts = ends - [s.dim for s in parts]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            overlap = parts[i].basis.conj().T @ parts[j].basis
-            if overlap.size and float(np.max(np.abs(overlap))) > tol:
-                raise NotOrthogonal(
+            overlap = gram[starts[i] : ends[i], starts[j] : ends[j]]
+            if overlap.size and float(np.max(abs(overlap))) > tol:
+                return NotOrthogonal(
                     f"summands {i} and {j} are not orthogonal "
-                    f"(max overlap {float(np.max(np.abs(overlap))):.3e})"
+                    f"(max overlap {float(np.max(abs(overlap))):.3e})"
                 )
-    stacked = np.hstack([s.basis for s in parts])
-    if stacked.shape[1] == 0:
-        return zero_space(d)
-    if stacked.shape[1] > d:
-        raise NotOrthogonal("summands overlap: direct-sum dimension lost")
-    q, r = np.linalg.qr(stacked)
-    if np.any(np.abs(np.diagonal(r)) <= tol * np.linalg.norm(stacked, axis=0)):
-        raise NotOrthogonal("summands overlap: direct-sum dimension lost")
-    return Subspace(d, q)
+    return NotOrthogonal("summands overlap: direct-sum dimension lost")
 
 
 def contains_vector(s: Subspace, v, tol: float | None = None) -> bool:

@@ -224,14 +224,15 @@ def test_contradiction_is_false_at_large_tol():
 
 
 def test_lattice_of_builds_only_the_top_until_elements_are_read(monkeypatch):
-    built = []
-    real = qprop.lattices.subspace_sum
+    built = []  # one entry per element built: its number of parts
+    real = qprop.lattices.subspace_sums
 
-    def counting(parts, tol=None, *, ambient_dim=None):
-        built.append(len(parts))
-        return real(parts, tol, ambient_dim=ambient_dim)
+    def counting(groups, tol=None, *, ambient_dim=None):
+        groups = [list(parts) for parts in groups]
+        built.extend(len(parts) for parts in groups)
+        return real(groups, tol, ambient_dim=ambient_dim)
 
-    monkeypatch.setattr(qprop.lattices, "subspace_sum", counting)
+    monkeypatch.setattr(qprop.lattices, "subspace_sums", counting)
     _, _, ctx = _case(8, 1e-9, False, 4)
     lat = lattice_of(ctx)
     n = len(ctx)

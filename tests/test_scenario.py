@@ -170,3 +170,68 @@ class TestDefaultHome:
         inp = sc.valuation_input()
         assert evaluate(inp, sc.propositions["P_z+"]) is TruthValue.TRUE
         assert evaluate(inp, sc.propositions["P_x+"]) is TruthValue.GAP
+
+
+class TestScenarioTolerance:
+    """Members are validated once, at the scenario's own eps."""
+
+    @staticmethod
+    def _with_member(member, eps=1e-6) -> dict:
+        data = _intro_data()
+        data["eps"] = eps
+        data["contexts"]["Sigma_z"][0] = member
+        return data
+
+    @staticmethod
+    def _diag(x: float) -> dict:
+        return {"matrix": [[x, 0], [0, 0]]}
+
+    def _run(self, data, tmp_path, capsys, *args):
+        from qprop.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), "utf-8")
+        code = main([*args, str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out + captured.err
+
+    def test_member_within_eps_evaluates_and_checks(self, tmp_path, capsys):
+        data = self._with_member(self._diag(1 + 1e-7))
+        code, out = self._run(data, tmp_path, capsys, "eval")
+        assert code == 0 and "P_z+: 1" in out
+        rows = dict((p, (ok, why)) for p, ok, why in check_scenario(json.dumps(data)))
+        assert rows["$.contexts.Sigma_z"] == (True, None)
+        assert rows["$.contexts.Sigma_z/lattice"] == (True, None)
+        code, out = self._run(data, tmp_path, capsys, "check")
+        assert code == 0
+
+    def test_member_beyond_eps_fails_with_the_same_text(self, tmp_path, capsys):
+        data = self._with_member(self._diag(1 + 2e-6))
+        text = (
+            "$.contexts.Sigma_z[0]: NotAProjector: not idempotent: "
+            "max |P^2 - P| entry 2.000e-06 > 1.0e-06"
+        )
+        with pytest.raises(ValidationFailed) as err:
+            scenario_from_data(data)
+        assert str(err.value) == text
+        rows = dict((p, (ok, why)) for p, ok, why in check_scenario(json.dumps(data)))
+        assert rows["$.contexts.Sigma_z"] == (False, f"ValidationFailed: {text}")
+        code, out = self._run(data, tmp_path, capsys, "eval")
+        assert code != 0 and text in out
+
+    def test_tensor_member_is_validated_at_eps(self):
+        data = json.loads(_fixture("env_two_qubit.json"))
+        data["eps"] = 1e-6
+        off = {"matrix": [[1 + 1e-7, 0], [0, 0]]}
+        data["contexts"]["Sigma_A"][0] = {"tensor": [off, {"span": [[0, 1]]}]}
+        sc = scenario_from_data(data)
+        assert sc.contexts["Sigma_A"].projectors[0].rank == 1
+        data["eps"] = 1e-8
+        with pytest.raises(ValidationFailed, match=r"entry 1\.000e-07 > 1\.0e-08"):
+            scenario_from_data(data)
+
+    def test_default_eps_still_rejects_the_member(self):
+        data = self._with_member(self._diag(1 + 1e-7))
+        del data["eps"]
+        with pytest.raises(ValidationFailed, match=r"1\.000e-07 > 1\.0e-09"):
+            scenario_from_data(data)
